@@ -22,14 +22,21 @@ let () =
 
 type inject = name:string -> lane:int -> step:int -> float -> float
 
-(* One fused quantization point: the compiled cast plus its overflow
-   tally (events summed over lanes and steps, like the clock-true
-   simulator's per-signal [n_overflow]). *)
+(* One fused quantization point: a compiled cast per lane (candidate
+   lanes of one topology differ only here) plus a per-lane overflow
+   tally (events summed over steps, like the clock-true simulator's
+   per-signal [n_overflow]). *)
 type quant = {
   qname : string;
-  q : Fixpt.Quantize.compiled;
-  mutable ovf : int;
+  qs : Fixpt.Quantize.compiled array;  (* per lane *)
+  ovf : int array;  (* per lane *)
 }
+
+(* A saturation's bounds.  All-float, so the record is flat and its
+   fields read unboxed: [Float.min]/[Float.max] (inlined from the
+   stdlib) can return a bound without boxing it, which they cannot for
+   a float field of a mixed record such as an [instr]. *)
+type limits = { lo : float; hi : float }
 
 (* The instruction stream.  [dst]/[a]/[b]/[c] are node slots (scaled by
    [batch] at execution time); [reg] is a dense delay-register number;
@@ -48,7 +55,7 @@ type instr =
   | Ishift of { dst : int; a : int; scale : float }
   | Idelay of { dst : int; reg : int }
   | Iquant of { dst : int; a : int; k : int }
-  | Isat of { dst : int; a : int; lo : float; hi : float }
+  | Isat of { dst : int; a : int; lim : limits }
   | Isel of { dst : int; c : int; a : int; b : int }
   | Icopy of { dst : int; a : int }
 
@@ -83,15 +90,67 @@ let value_ref t ~id ~lane =
     invalid_arg "Compile.value_ref: program compiled without ~dual:true";
   t.fl.((id * t.batch) + lane)
 
-let overflows t =
-  Array.to_list (Array.map (fun q -> (q.qname, q.ovf)) t.quants)
+let sum = Array.fold_left ( + ) 0
 
-let overflow_count t = Array.fold_left (fun acc q -> acc + q.ovf) 0 t.quants
+let read_lanes t ~id dst =
+  if Array.length dst <> t.batch then
+    invalid_arg "Compile.read_lanes: destination length <> batch";
+  Array.blit t.fx (id * t.batch) dst 0 t.batch
+
+let read_lanes_ref t ~id dst =
+  if not t.dual then
+    invalid_arg "Compile.read_lanes_ref: program compiled without ~dual:true";
+  if Array.length dst <> t.batch then
+    invalid_arg "Compile.read_lanes_ref: destination length <> batch";
+  Array.blit t.fl (id * t.batch) dst 0 t.batch
+
+let overflows t =
+  Array.to_list (Array.map (fun q -> (q.qname, sum q.ovf)) t.quants)
+
+let overflow_count t =
+  Array.fold_left (fun acc q -> acc + sum q.ovf) 0 t.quants
+
+let lane_overflow_count t ~lane =
+  if lane < 0 || lane >= t.batch then
+    invalid_arg "Compile.lane_overflow_count: lane";
+  Array.fold_left (fun acc q -> acc + q.ovf.(lane)) 0 t.quants
+
+(* --- candidate lanes ---------------------------------------------------- *)
+
+(* Two graphs lower to the same instruction stream when every node
+   agrees except for a [Quantize] node's dtype: same name, same inputs,
+   same operator and bit-identical constants ([Input] intervals do not
+   reach the program). *)
+let same_op (a : Sfg.Node.op) (b : Sfg.Node.op) =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Sfg.Node.Quantize _, Sfg.Node.Quantize _
+  | Sfg.Node.Input _, Sfg.Node.Input _ ->
+      true
+  | Sfg.Node.Const x, Sfg.Node.Const y | Sfg.Node.Delay x, Sfg.Node.Delay y ->
+      same x y
+  | Sfg.Node.Saturate x, Sfg.Node.Saturate y -> (
+      match (Interval.bounds x, Interval.bounds y) with
+      | Some (l1, h1), Some (l2, h2) -> same l1 l2 && same h1 h2
+      | None, None -> true
+      | _ -> false)
+  | _ -> a = b
+
+let same_shape g1 g2 =
+  Sfg.Graph.node_count g1 = Sfg.Graph.node_count g2
+  && List.for_all2
+       (fun (a : Sfg.Node.t) (b : Sfg.Node.t) ->
+         a.Sfg.Node.id = b.Sfg.Node.id
+         && String.equal a.Sfg.Node.name b.Sfg.Node.name
+         && List.equal Int.equal a.Sfg.Node.inputs b.Sfg.Node.inputs
+         && same_op a.Sfg.Node.op b.Sfg.Node.op)
+       (Sfg.Graph.nodes g1) (Sfg.Graph.nodes g2)
 
 (* --- lowering ---------------------------------------------------------- *)
 
-let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
-  if batch < 1 then invalid_arg "Compile.compile: batch < 1";
+(* [lane_quants k dt] gives the per-lane casts of the [k]-th Quantize
+   node (whose dtype in [g] is [dt]). *)
+let lower ~batch ~dual ~lane_quants (g : Sfg.Graph.t) =
   (match Sfg.Graph.validate g with
   | Ok () -> ()
   | Error m -> raise (Cannot_compile m));
@@ -161,13 +220,21 @@ let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
           let k = !n_quants in
           incr n_quants;
           quants :=
-            { qname = nd.Sfg.Node.name; q = Fixpt.Quantize.of_dtype dt; ovf = 0 }
+            {
+              qname = nd.Sfg.Node.name;
+              qs = lane_quants k dt;
+              ovf = Array.make batch 0;
+            }
             :: !quants;
           emit (Iquant { dst = i; a = arg 0; k })
       | Sfg.Node.Saturate lim ->
           emit
             (Isat
-               { dst = i; a = arg 0; lo = Interval.lo lim; hi = Interval.hi lim })
+               {
+                 dst = i;
+                 a = arg 0;
+                 lim = { lo = Interval.lo lim; hi = Interval.hi lim };
+               })
       | Sfg.Node.Select ->
           emit (Isel { dst = i; c = arg 0; a = arg 1; b = arg 2 })
       | Sfg.Node.Alias -> emit (Icopy { dst = i; a = arg 0 }))
@@ -207,6 +274,29 @@ let compile ?(batch = 1) ?(dual = false) (g : Sfg.Graph.t) =
       ~t0 ~t1:(Trace.Spans.now ()) ();
   t
 
+let compile ?(batch = 1) ?(dual = false) g =
+  if batch < 1 then invalid_arg "Compile.compile: batch < 1";
+  lower ~batch ~dual g ~lane_quants:(fun _ dt ->
+      Array.make batch (Fixpt.Quantize.of_dtype dt))
+
+let quantize_dtypes g =
+  List.filter_map
+    (fun (nd : Sfg.Node.t) ->
+      match nd.Sfg.Node.op with Sfg.Node.Quantize dt -> Some dt | _ -> None)
+    (Sfg.Graph.nodes g)
+
+let quantizers g =
+  Array.of_list (List.map Fixpt.Quantize.of_dtype (quantize_dtypes g))
+
+let compile_lanes ?(dual = false) g lanes =
+  let batch = Array.length lanes in
+  if batch < 1 then invalid_arg "Compile.compile_lanes: no lanes";
+  let nq = List.length (quantize_dtypes g) in
+  if Array.exists (fun qs -> Array.length qs <> nq) lanes then
+    invalid_arg "Compile.compile_lanes: lane table length <> quantizers";
+  lower ~batch ~dual g ~lane_quants:(fun k _ ->
+      Array.map (fun qs -> qs.(k)) lanes)
+
 let reset t =
   let b = t.batch in
   Array.fill t.fx 0 (Array.length t.fx) 0.0;
@@ -216,7 +306,7 @@ let reset t =
   Array.iteri
     (fun reg init -> Array.fill t.regs (reg * b) b init)
     t.delay_inits;
-  Array.iter (fun q -> q.ovf <- 0) t.quants;
+  Array.iter (fun q -> Array.fill q.ovf 0 b 0) t.quants;
   if t.dual then begin
     Array.fill t.fl 0 (Array.length t.fl) 0.0;
     Array.iter (fun (slot, v) -> Array.fill t.fl (slot * b) b v) t.consts;
@@ -306,30 +396,47 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
   | Idelay { dst; reg } -> Array.blit t.regs (reg * b) fx (dst * b) b
   | Iquant { dst; a; k } ->
       let qq = t.quants.(k) in
-      let c = qq.q and s = t.scratch in
+      let qs = qq.qs and ovf = qq.ovf and s = t.scratch in
       let o = dst * b and oa = a * b in
+      for l = 0 to b - 1 do
+        let x = Array.unsafe_get fx (oa + l) in
+        let c = Array.unsafe_get qs l in
+        (* the in-range int64 case of [Fixpt.Quantize.exec_into], inlined
+           (a cross-module call boxes its float argument and result);
+           everything else — overflow, NaN, infinities, wide formats —
+           takes [exec_into] itself *)
+        let scaled = x /. c.Fixpt.Quantize.step in
+        let r =
+          if c.Fixpt.Quantize.round_nearest then Float.round scaled
+          else Float.floor scaled
+        in
+        if
+          c.Fixpt.Quantize.int64_path
+          && Float.abs r <= Fixpt.Quantize.int64_safe
+          &&
+          let code = Int64.of_float r in
+          code >= c.Fixpt.Quantize.lo && code <= c.Fixpt.Quantize.hi
+        then
+          Array.unsafe_set fx (o + l)
+            (Int64.to_float (Int64.of_float r) *. c.Fixpt.Quantize.step)
+        else begin
+          Array.unsafe_set fx (o + l) (Fixpt.Quantize.exec_into c x s);
+          if s.Fixpt.Quantize.flag <> 0.0 then
+            Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1)
+        end
+      done;
       (match inject with
-      | None ->
-          for l = 0 to b - 1 do
-            let v =
-              Fixpt.Quantize.exec_into c (Array.unsafe_get fx (oa + l)) s
-            in
-            if s.Fixpt.Quantize.flag <> 0.0 then qq.ovf <- qq.ovf + 1;
-            Array.unsafe_set fx (o + l) v
-          done
+      | None -> ()
       | Some f ->
           for l = 0 to b - 1 do
-            let v =
-              Fixpt.Quantize.exec_into c (Array.unsafe_get fx (oa + l)) s
-            in
-            if s.Fixpt.Quantize.flag <> 0.0 then qq.ovf <- qq.ovf + 1;
-            Array.unsafe_set fx (o + l) (f ~name:qq.qname ~lane:l ~step v)
+            Array.unsafe_set fx (o + l)
+              (f ~name:qq.qname ~lane:l ~step (Array.unsafe_get fx (o + l)))
           done)
-  | Isat { dst; a; lo; hi } ->
+  | Isat { dst; a; lim } ->
       let o = dst * b and oa = a * b in
       for l = 0 to b - 1 do
         Array.unsafe_set fx (o + l)
-          (Float.max lo (Float.min hi (Array.unsafe_get fx (oa + l))))
+          (Float.max lim.lo (Float.min lim.hi (Array.unsafe_get fx (oa + l))))
       done
   | Isel { dst; c; a; b = rb } ->
       let o = dst * b and oc = c * b and oa = a * b and ob = rb * b in
@@ -404,7 +511,7 @@ let exec_fl t ins =
         Array.unsafe_set fl (o + l) (Array.unsafe_get fl (oa + l) *. scale)
       done
   | Idelay { dst; reg } -> Array.blit t.regs_fl (reg * b) fl (dst * b) b
-  | Iquant { dst; a; k = _ } | Isat { dst; a; lo = _; hi = _ } | Icopy { dst; a }
+  | Iquant { dst; a; k = _ } | Isat { dst; a; lim = _ } | Icopy { dst; a }
     ->
       Array.blit fl (a * b) fl (dst * b) b
   | Isel { dst; c; a; b = rb } ->
@@ -416,18 +523,22 @@ let exec_fl t ins =
            else Array.unsafe_get fl (ob + l))
       done
 
+(* Loops rather than [Array.iter], whose closure over [t] would be
+   allocated every tick. *)
 let commit t =
   let b = t.batch in
-  Array.iter
-    (fun (reg, src) -> Array.blit t.fx (src * b) t.regs_nxt (reg * b) b)
-    t.commits;
+  for i = 0 to Array.length t.commits - 1 do
+    let reg, src = Array.unsafe_get t.commits i in
+    Array.blit t.fx (src * b) t.regs_nxt (reg * b) b
+  done;
   let cur = t.regs in
   t.regs <- t.regs_nxt;
   t.regs_nxt <- cur;
   if t.dual then begin
-    Array.iter
-      (fun (reg, src) -> Array.blit t.fl (src * b) t.regs_fl_nxt (reg * b) b)
-      t.commits;
+    for i = 0 to Array.length t.commits - 1 do
+      let reg, src = Array.unsafe_get t.commits i in
+      Array.blit t.fl (src * b) t.regs_fl_nxt (reg * b) b
+    done;
     let cur = t.regs_fl in
     t.regs_fl <- t.regs_fl_nxt;
     t.regs_fl_nxt <- cur

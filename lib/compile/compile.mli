@@ -11,8 +11,12 @@
       feedback — exactly the dependence a delay breaks);
     - each {!Sfg.Node.Quantize} node is fused at compile time to its
       {!Fixpt.Quantize.compiled} record (via the memoized
-      {!Fixpt.Quantize.of_dtype} cache), so the per-sample cast is the
-      same allocation-free [exec_into] the clock-true simulator uses;
+      {!Fixpt.Quantize.of_dtype} cache).  The in-range int64 case of the
+      cast is inlined into the quantizer instruction and does not
+      allocate; overflow, NaN, infinities and wide formats call
+      {!Fixpt.Quantize.exec_into}, the cast the clock-true simulator
+      uses, whose cross-module call boxes its float argument and
+      result;
     - delay registers live in a double-buffered block committed by an
       index (buffer) swap after every tick;
     - there are no per-sample hash or name lookups: names are resolved
@@ -24,6 +28,14 @@
     stream.  Lanes never interact; compiled execution of lane [l] is
     bit-identical to a [batch = 1] run fed lane [l]'s stimulus (the
     oracle property {!Oracle.Compile_check} enforces).
+
+    {b Candidate lanes.} {!compile_lanes} packs several graphs of one
+    topology — typically the same design extracted under different
+    dtype assignments — into one program: lane [l] runs its own
+    quantizer table ({!quantizers} of graph [l]), with its own overflow
+    tally ({!lane_overflow_count}).  Graphs qualify when {!same_shape}
+    holds (every node equal except a [Quantize] dtype); lane [l] is
+    then bit-identical to a [batch = 1] compile of graph [l].
 
     {b Fidelity.} Per node and step, the computed value is bit-identical
     to the interpreter's: same operator semantics ({!Sfg.Node.eval_value}),
@@ -62,6 +74,29 @@ type inject = name:string -> lane:int -> step:int -> float -> float
     {!Trace.Spans} collection is on. *)
 val compile : ?batch:int -> ?dual:bool -> Sfg.Graph.t -> t
 
+(** [same_shape g1 g2] — the two graphs lower to the same instruction
+    stream: equal node count and, node by node, equal id, name, inputs
+    and operator, constants compared bit for bit, except that two
+    [Quantize] nodes may carry different dtypes (and [Input] ranges,
+    which the program never reads, may differ).  Linear in the node
+    count. *)
+val same_shape : Sfg.Graph.t -> Sfg.Graph.t -> bool
+
+(** [quantizers g] — the compiled casts of [g]'s [Quantize] nodes in
+    schedule order (memoized, {!Fixpt.Quantize.of_dtype}): one lane's
+    quantizer table for {!compile_lanes}. *)
+val quantizers : Sfg.Graph.t -> Fixpt.Quantize.compiled array
+
+(** [compile_lanes ?dual g lanes] lowers [g] with one lane per table
+    ([batch = Array.length lanes]): lane [l]'s [k]-th [Quantize] node
+    casts through [lanes.(l).(k)].  With [lanes.(l) = quantizers g_l]
+    for graphs [g_l] that are {!same_shape} as [g], lane [l] is
+    bit-identical to [compile g_l].  Raises [Invalid_argument] on no
+    lanes or a table whose length is not [g]'s quantizer count, and
+    {!Cannot_compile} like {!compile}. *)
+val compile_lanes :
+  ?dual:bool -> Sfg.Graph.t -> Fixpt.Quantize.compiled array array -> t
+
 val batch : t -> int
 val node_count : t -> int
 
@@ -81,12 +116,26 @@ val value : t -> id:int -> lane:int -> float
     program compiled without [~dual:true]. *)
 val value_ref : t -> id:int -> lane:int -> float
 
+(** [read_lanes t ~id dst] copies node [id]'s fixed-lattice value for
+    every lane into [dst] (length {!batch}): {!value} for all lanes at
+    once, without boxing a float per read. *)
+val read_lanes : t -> id:int -> float array -> unit
+
+(** {!read_lanes} on the float-reference lattice.  Raises
+    [Invalid_argument] on a program compiled without [~dual:true]. *)
+val read_lanes_ref : t -> id:int -> float array -> unit
+
 (** Overflow events per [Quantize] node, in schedule order, summed over
     lanes and steps since the last {!reset}. *)
 val overflows : t -> (string * int) list
 
 (** Total overflow events since the last {!reset}. *)
 val overflow_count : t -> int
+
+(** Overflow events of one lane since the last {!reset}, summed over
+    its [Quantize] nodes.  Raises [Invalid_argument] on a lane outside
+    [0, batch). *)
+val lane_overflow_count : t -> lane:int -> int
 
 (** Reinitialize the store: values zeroed, constants re-materialized,
     delay registers back to their init values, overflow counters

@@ -164,7 +164,8 @@ type scratch = {
 let create_scratch () = { flag = 0.0; raw = 0.0; rerr = 0.0 }
 
 (** [exec_into c v s] — the per-assignment cast through a compiled
-    quantizer, allocation-free: returns the representable value and
+    quantizer (the body allocates nothing; a cross-module call still
+    boxes [v] and the result): returns the representable value and
     reports the overflow outcome through [s].  Must compute exactly what
     {!apply_int64}/{!apply_float} compute (the agreement is under test).
     NaN input raises [Invalid_argument]; infinities saturate (or wrap to

@@ -77,10 +77,20 @@ type scratch = {
 (** Fresh reusable scratch cell for {!quantize_into}. *)
 val create_scratch : unit -> scratch
 
-(** Allocation-free per-assignment cast: returns the representable
-    value, reports overflow/rounding through the scratch.  Same contract
-    as {!exec} otherwise. *)
+(** Per-assignment cast that reports overflow/rounding through the
+    scratch instead of an {!outcome} record.  Same contract as {!exec}
+    otherwise.  Its body does not allocate, but a call from another
+    module boxes the float argument and the result (4 words): a hot loop
+    outside this module should inline the in-range case, as
+    [Compile]'s quantizer instruction does, and call this only for the
+    rest. *)
 val exec_into : compiled -> float -> scratch -> float
+
+(** Largest rounded scaled magnitude {!exec_into} converts to an [int64]
+    code; beyond it (or for formats with [int64_path = false]) the cast
+    takes the float fallback.  Exposed so that an inlined fast path
+    selects exactly the same cases. *)
+val int64_safe : float
 
 (** The per-assignment cast.  NaN raises [Invalid_argument]; infinities
     saturate/wrap and report an overflow event. *)

@@ -292,13 +292,188 @@ let check_sweep_metrics () =
   | diffs -> { name; detail = String.concat "; " diffs; ok = false }
   | exception e -> { name; detail = Printexc.to_string e; ok = false }
 
+(* --- candidate lanes: one program, a different dtype set per lane ------- *)
+
+(* Four fir candidates for the lanes of one program: the sweep's own
+   saturating dtypes at f = 2, 6 and 10, and a wrapping, floor-rounded
+   <7,7> set (range [-0.5, 0.5)) that overflows — so the cast's
+   out-of-range path and the per-lane overflow tallies run too.  Lane
+   [l] uses stimulus seed [l]. *)
+let lane_assigns (w : Sweep.Workload.t) =
+  let specs = w.Sweep.Workload.specs in
+  let uniform f =
+    Sweep.Candidate.to_dtypes
+      (Sweep.Candidate.of_uniform ~id:0 ~specs ~f ~stim_seed:0)
+  in
+  let wrapping =
+    List.map
+      (fun (s : Sweep.Candidate.spec) ->
+        ( s.Sweep.Candidate.signal,
+          Fixpt.Dtype.make "Tw" ~n:7 ~f:7 ~overflow:Fixpt.Overflow_mode.Wrap
+            ~round:Fixpt.Round_mode.Floor () ))
+      specs
+  in
+  [| uniform 2; uniform 6; uniform 10; wrapping |]
+
+(* The lanes prepared on one fir instance: the instance, its compiled
+   path, each lane's graph and its joined (one-graph) preparation. *)
+let prepare_lanes (w : Sweep.Workload.t) lanes =
+  let inst = w.Sweep.Workload.make_instance () in
+  let ce =
+    match inst.Sweep.Workload.compiled with
+    | Some ce -> ce
+    | None -> failwith "fir sweep workload lost its compiled path"
+  in
+  let fresh seed =
+    Sim.Env.restore_into inst.Sweep.Workload.baseline inst.Sweep.Workload.env;
+    inst.Sweep.Workload.set_seed seed
+  in
+  let prepared =
+    Array.mapi
+      (fun seed assigns ->
+        fresh seed;
+        match
+          Refine.Eval.prepare ~assigns ~probe:w.Sweep.Workload.probe ~seed ce
+            inst.Sweep.Workload.design
+        with
+        | `Miss p -> p
+        | `Hit _ -> failwith "uncached prepare hit")
+      lanes
+  in
+  let joined =
+    Array.map
+      (fun p ->
+        match Refine.Eval.join ~first:prepared.(0) p with
+        | Some p -> p
+        | None -> failwith "fir candidates differ in shape")
+      prepared
+  in
+  ( inst,
+    ce,
+    fresh,
+    Array.map (fun (p : Refine.Eval.prepared) -> p.Refine.Eval.graph) prepared,
+    joined )
+
+(* Every lane's metrics against one-lane compiled evaluation and the
+   interpreter; at least one lane must overflow. *)
+let lane_metrics_diffs (w : Sweep.Workload.t) lanes (inst, ce, fresh, _, joined)
+    =
+  let probe = w.Sweep.Workload.probe and design = inst.Sweep.Workload.design in
+  let batched = Refine.Eval.evaluate_lanes ~probe ce joined in
+  let diffs = ref [] in
+  Array.iteri
+    (fun seed assigns ->
+      fresh seed;
+      let m1 = Refine.Eval.evaluate_compiled ~assigns ~probe ~seed ce design in
+      fresh seed;
+      let mi = Refine.Eval.evaluate ~assigns ~probe design in
+      List.iter
+        (fun (what, m) ->
+          match metrics_diff batched.(seed) m with
+          | Some d ->
+              diffs := Printf.sprintf "lane %d vs %s: %s" seed what d :: !diffs
+          | None -> ())
+        [ ("one-lane", m1); ("interpreter", mi) ])
+    lanes;
+  if
+    not
+      (Array.exists
+         (fun (m : Refine.Eval.metrics) -> m.Refine.Eval.overflow_count > 0)
+         batched)
+  then diffs := "no lane overflowed" :: !diffs;
+  List.rev !diffs
+
+(* Every node, step and lane of the packed program against each lane
+   graph's own interpreter run, optionally under the fault plan. *)
+let lane_trace_mismatches ~faulted (_, _, _, graphs, joined) =
+  let plan = Fault.Plan.make ~seed:97 () in
+  let stim = stimulus plan graphs.(0) in
+  let faults = Array.map (fault_fn plan) graphs in
+  let prog =
+    Compile.compile_lanes graphs.(0)
+      (Array.map
+         (fun (p : Refine.Eval.prepared) -> p.Refine.Eval.quants)
+         joined)
+  in
+  let inject ~name ~lane ~step v = faults.(lane) lane ~name ~step v in
+  let ct =
+    Compile.traces
+      ?inject:(if faulted then Some inject else None)
+      prog ~steps
+      ~inputs:(fun name ~lane step -> stim name lane step)
+  in
+  let mism = ref 0 in
+  Array.iteri
+    (fun lane g ->
+      let it =
+        Sfg.Graph.simulate
+          ?inject:(if faulted then Some (faults.(lane) lane) else None)
+          g ~steps
+          ~inputs:(fun name step -> stim name lane step)
+      in
+      List.iter2
+        (fun (_, per_lane) (_, itr) ->
+          Array.iteri
+            (fun s iv -> if bits per_lane.(lane).(s) <> bits iv then incr mism)
+            itr)
+        ct it)
+    graphs;
+  !mism
+
+let check_mixed_lanes () =
+  let w =
+    match Sweep.Workload.find "fir" with
+    | Some w -> w
+    | None -> failwith "fir sweep workload missing"
+  in
+  let lanes = lane_assigns w in
+  let n = Array.length lanes in
+  (* [f ()] is [None] when the check passes, else the evidence *)
+  let result name ~pass f =
+    match f () with
+    | None -> { name; detail = pass; ok = true }
+    | Some d -> { name; detail = d; ok = false }
+    | exception e -> { name; detail = Printexc.to_string e; ok = false }
+  in
+  let name = "compile/sweep-fir/lanes" in
+  match prepare_lanes w lanes with
+  | exception e -> [ { name; detail = Printexc.to_string e; ok = false } ]
+  | prep ->
+      let traces ~faulted =
+        result
+          (name ^ if faulted then "-traces/faulted" else "-traces")
+          ~pass:
+            (Printf.sprintf
+               "%d mixed-dtype lanes bit-identical to their graphs x %d steps"
+               n steps)
+          (fun () ->
+            match lane_trace_mismatches ~faulted prep with
+            | 0 -> None
+            | k -> Some (Printf.sprintf "%d mismatched node samples" k))
+      in
+      [
+        result name
+          ~pass:
+            (Printf.sprintf
+               "%d mixed-dtype lanes (f=2/6/10 saturating, one wrapping) \
+                bit-identical to one-lane and interpreted metrics"
+               n)
+          (fun () ->
+            match lane_metrics_diffs w lanes prep with
+            | [] -> None
+            | diffs -> Some (String.concat "; " diffs));
+        traces ~faulted:false;
+        traces ~faulted:true;
+      ]
+
 (* --- the gate ----------------------------------------------------------- *)
 
 let run () =
   {
     results =
       List.concat_map check_workload Workloads.all
-      @ [ check_sweep_metrics () ];
+      @ [ check_sweep_metrics () ]
+      @ check_mixed_lanes ();
   }
 
 let passed r = List.for_all (fun x -> x.ok) r.results

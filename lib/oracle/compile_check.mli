@@ -9,7 +9,14 @@
     and without a deterministic fault plan replayed into both executors.
     A final check asserts that the sweep's compiled candidate evaluation
     ({!Refine.Eval.evaluate_compiled}) reproduces the clock-true
-    interpreter's metrics bit-for-bit on the FIR sweep workload.
+    interpreter's metrics bit-for-bit on the FIR sweep workload.  The
+    candidate-lane checks pack four FIR candidates with different
+    dtypes (f = 2, 6, 10 saturating and one overflowing wrap set) into
+    one {!Compile.compile_lanes} program: every lane's metrics
+    ({!Refine.Eval.evaluate_lanes}) must equal one-lane
+    {!Refine.Eval.evaluate_compiled} and the interpreter, and every
+    lane's node traces must equal its own graph's interpreter run, with
+    and without the fault plan.
 
     Wired into [fxrefine check --compiled]. *)
 

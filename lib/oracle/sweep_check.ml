@@ -28,6 +28,11 @@ let sweep ~jobs ~strategy =
   let generator =
     match strategy with
     | "grid" -> Sweep.Generator.grid ~specs ~f_min:4 ~f_max:7 ~seeds
+    | "grid-63" ->
+        (* 9 f x 7 seeds: not a multiple of the pool's lane width, so
+           a partial chunk of candidate lanes runs at every [jobs] *)
+        Sweep.Generator.grid ~specs ~f_min:2 ~f_max:10
+          ~seeds:(List.init 7 Fun.id)
     | "bisect" ->
         Sweep.Generator.bisect ~specs ~f_min:2 ~f_max:10 ~target_db:30.0
           ~seeds
@@ -37,7 +42,7 @@ let sweep ~jobs ~strategy =
   in
   Sweep.Pool.run ~jobs ~workload ~generator ()
 
-let strategies = [ "grid"; "bisect"; "pareto" ]
+let strategies = [ "grid"; "grid-63"; "bisect"; "pareto" ]
 
 let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
 

@@ -15,7 +15,9 @@ type result = {
 
 type report = { results : result list }
 
-(** The strategies the gate exercises: grid, bisect, pareto. *)
+(** The strategies the gate exercises: grid, grid-63 (a 63-candidate
+    grid, not a multiple of {!Sweep.Pool.lane_width}), bisect,
+    pareto. *)
 val strategies : string list
 
 (** [max 2 (min 4 (Domain.recommended_domain_count ()))] — always ≥ 2

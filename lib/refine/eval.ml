@@ -142,9 +142,20 @@ let cache_key ~design ~assigns ~probe ~seed ~cycles ~context =
        seed cycles context);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Internal: any condition that sends the evaluation back to the
-   clock-true interpreter. *)
-exception Fallback
+(* The condition, besides [Compile.Cannot_compile], [Invalid_argument]
+   and [Not_found], that sends an evaluation back to the clock-true
+   interpreter: the probe is not where the recorded pipeline puts it. *)
+exception Fallback of string
+
+let () =
+  Printexc.register_printer (function
+    | Fallback m -> Some ("Refine.Eval.Fallback: " ^ m)
+    | _ -> None)
+
+let falls_back = function
+  | Compile.Cannot_compile _ | Invalid_argument _ | Not_found | Fallback _ ->
+      true
+  | _ -> false
 
 (* Locate the probe's monitor points in the extracted graph.  The
    recorded assignment pipeline is [expr → name_q (Quantize, if typed)
@@ -176,83 +187,145 @@ let probe_monitors g prog probe =
           | _ -> Some (src, src))
       | _ -> None)
 
-let evaluate_compiled ?(assigns = []) ?probe ?cache ~seed (ce : compiled_eval)
+type prepared = {
+  graph : Sfg.Graph.t;
+  quants : Fixpt.Quantize.compiled array;
+  seed : int;
+  bits : int;
+  key : string option;
+}
+
+(* Re-pointing [p] at [first]'s graph lets [p]'s own graph die young: a
+   chunk of prepared candidates then holds one graph, not one per lane. *)
+let join ~first p =
+  if p.graph == first.graph || Compile.same_shape first.graph p.graph then
+    Some { p with graph = first.graph }
+  else None
+
+let prepare ?(assigns = []) ?probe ?cache ~seed (ce : compiled_eval)
     (design : Flow.design) =
-  try
-    apply_assigns design.Flow.env assigns;
-    design.Flow.reset ();
-    let g = ce.extract () in
-    (* cache consult: the key needs only the extracted graph (cheap, one
-       recorded cycle), not the compile or the run — those are what a
-       hit skips.  A cache that raises degrades to a miss/no-insert;
-       it must never fail an evaluation. *)
-    let key =
-      match cache with
-      | None -> None
-      | Some c ->
-          Some
-            (cache_key
-               ~design:(Sfg.Graph.canonical_json g)
-               ~assigns ~probe ~seed ~cycles:ce.cycles ~context:c.context)
+  apply_assigns design.Flow.env assigns;
+  design.Flow.reset ();
+  let g = ce.extract () in
+  (* cache consult: the key needs only the extracted graph (cheap, one
+     recorded cycle), not the compile or the run — those are what a
+     hit skips.  A cache that raises degrades to a miss; it must never
+     fail an evaluation. *)
+  let key =
+    Option.map
+      (fun c ->
+        cache_key
+          ~design:(Sfg.Graph.canonical_json g)
+          ~assigns ~probe ~seed ~cycles:ce.cycles ~context:c.context)
+      cache
+  in
+  let hit =
+    match (cache, key) with
+    | Some c, Some k -> ( try c.lookup k with _ -> None)
+    | _ -> None
+  in
+  match hit with
+  | Some m -> `Hit m
+  | None ->
+      `Miss
+        {
+          graph = g;
+          quants = Compile.quantizers g;
+          seed;
+          bits = total_bits design.Flow.env;
+          key;
+        }
+
+let evaluate_lanes ?probe ?cache (ce : compiled_eval) (ps : prepared array) =
+  let n = Array.length ps in
+  if n = 0 then [||]
+  else begin
+    let g = ps.(0).graph in
+    if Array.exists (fun p -> p.graph != g) ps then
+      invalid_arg "Refine.Eval.evaluate_lanes: lanes not joined to one graph";
+    let prog =
+      Compile.compile_lanes ~dual:true g (Array.map (fun p -> p.quants) ps)
     in
-    let hit =
-      match (cache, key) with
-      | Some c, Some k -> ( try c.lookup k with _ -> None)
-      | _ -> None
-    in
-    match hit with
-    | Some m -> m
-    | None ->
-    let prog = Compile.compile ~dual:true g in
     let pm =
       match probe with
       | None -> None
       | Some p -> (
           match probe_monitors g prog p with
           | Some pm -> Some pm
-          | None -> raise Fallback)
+          | None ->
+              raise (Fallback ("probe " ^ p ^ " not in the extracted graph")))
     in
-    let vals = Stats.Running.create () in
-    let errs = Stats.Err_stats.create () in
-    let stim = ce.stimulus ~seed in
-    let inputs name = fun ~lane:_ step -> stim name step in
+    let vals = Array.init n (fun _ -> Stats.Running.create ()) in
+    let errs = Array.init n (fun _ -> Stats.Err_stats.create ()) in
+    let stims = Array.map (fun p -> ce.stimulus ~seed:p.seed) ps in
+    let inputs name =
+      let feeds = Array.map (fun stim -> stim name) stims in
+      fun ~lane step -> feeds.(lane) step
+    in
+    (* per-step monitor fold, every lane: the fixed value entering the
+       probe's cast, its float reference, and the cast's output *)
     let on_step =
       Option.map
-        (fun (pre, post) _step ->
-          let fxpre = Compile.value prog ~id:pre ~lane:0 in
-          let flpre = Compile.value_ref prog ~id:pre ~lane:0 in
-          let fxpost = Compile.value prog ~id:post ~lane:0 in
-          Stats.Running.add vals fxpre;
-          Stats.Err_stats.record errs ~consumed:(flpre -. fxpre)
-            ~produced:(flpre -. fxpost))
+        (fun (pre, post) ->
+          let fxpre = Array.make n 0.0
+          and flpre = Array.make n 0.0
+          and fxpost = Array.make n 0.0 in
+          fun _step ->
+            Compile.read_lanes prog ~id:pre fxpre;
+            Compile.read_lanes_ref prog ~id:pre flpre;
+            Compile.read_lanes prog ~id:post fxpost;
+            for l = 0 to n - 1 do
+              let x = fxpre.(l) and r = flpre.(l) in
+              Stats.Running.add vals.(l) x;
+              Stats.Err_stats.record errs.(l) ~consumed:(r -. x)
+                ~produced:(r -. fxpost.(l))
+            done)
         pm
     in
     Compile.run ?on_step prog ~steps:ce.cycles ~inputs;
-    let env = design.Flow.env in
-    let produced = Stats.Err_stats.produced errs in
-    let m =
-      {
-        sqnr_db =
-          (match pm with
-          | None -> None
-          | Some _ -> Flow.sqnr_db_of ~values:vals ~errors:produced);
-        total_bits = total_bits env;
-        overflow_count = Compile.overflow_count prog;
-        probe_err_max =
-          (match pm with
-          | None -> 0.0
-          | Some _ -> Stats.Running.max_abs produced);
-        probe_values = (match pm with None -> None | Some _ -> Some vals);
-        probe_err = (match pm with None -> None | Some _ -> Some errs);
-        counters = None;
-      }
-    in
-    (match (cache, key) with
-    | Some c, Some k -> ( try c.insert k m with _ -> ())
-    | _ -> ());
-    m
-  with Compile.Cannot_compile _ | Invalid_argument _ | Not_found | Fallback
-  ->
+    Array.mapi
+      (fun l p ->
+        let produced = Stats.Err_stats.produced errs.(l) in
+        let m =
+          {
+            sqnr_db =
+              (match pm with
+              | None -> None
+              | Some _ -> Flow.sqnr_db_of ~values:vals.(l) ~errors:produced);
+            total_bits = p.bits;
+            overflow_count = Compile.lane_overflow_count prog ~lane:l;
+            probe_err_max =
+              (match pm with
+              | None -> 0.0
+              | Some _ -> Stats.Running.max_abs produced);
+            probe_values =
+              (match pm with None -> None | Some _ -> Some vals.(l));
+            probe_err =
+              (match pm with None -> None | Some _ -> Some errs.(l));
+            counters = None;
+          }
+        in
+        (match (cache, p.key) with
+        | Some c, Some k -> ( try c.insert k m with _ -> ())
+        | _ -> ());
+        m)
+      ps
+  end
+
+let evaluate_compiled ?(assigns = []) ?probe ?cache ~seed (ce : compiled_eval)
+    (design : Flow.design) =
+  try
+    match prepare ~assigns ?probe ?cache ~seed ce design with
+    | `Hit m -> m
+    | `Miss p -> (evaluate_lanes ?probe ?cache ce [| p |]).(0)
+  with e when falls_back e ->
+    if Trace.Spans.enabled () then begin
+      let t = Trace.Spans.now () in
+      Trace.Spans.record ~cat:"eval" ~name:"fallback"
+        ~tid:(Domain.self () :> int)
+        ~args:[ ("reason", Trace.Json.string_lit (Printexc.to_string e)) ]
+        ~t0:t ~t1:t ()
+    end;
     (* interpreter fallback is never cached: its key would need the
        un-extractable design itself *)
     evaluate ~assigns ?probe design

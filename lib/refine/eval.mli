@@ -98,9 +98,78 @@ val cache_key :
   context:string ->
   string
 
+(** {2 Candidate lanes}
+
+    {!evaluate_compiled} in two halves, so that a sweep can run many
+    candidates of one design as the lanes of a single compiled program:
+    {!prepare} does the per-candidate work on the design instance
+    (retype, reset, extract, cache key and lookup), {!evaluate_lanes}
+    compiles the prepared graphs into one program and runs it. *)
+
+(** A candidate extracted for compiled evaluation and not yet run. *)
+type prepared = private {
+  graph : Sfg.Graph.t;
+      (** its extracted flowgraph, or, after {!join}, the first lane's
+          graph of the same shape *)
+  quants : Fixpt.Quantize.compiled array;
+      (** its own quantizer table ({!Compile.quantizers}) *)
+  seed : int;  (** its stimulus seed *)
+  bits : int;  (** {!total_bits} of the retyped environment *)
+  key : string option;  (** its cache key, when a cache was given *)
+}
+
+(** [join ~first p] — [p] as a lane beside [first]: [Some] [p] re-pointed
+    at [first]'s graph when the two graphs are {!Compile.same_shape}
+    (only [p]'s quantizer table differs, and [p]'s own graph can be
+    collected at once), [None] otherwise. *)
+val join : first:prepared -> prepared -> prepared option
+
+(** [prepare ?assigns ?probe ?cache ~seed ce design] applies [assigns],
+    resets [design], extracts the candidate's graph and, with a cache,
+    computes its key and looks it up: [`Hit m] on a hit, [`Miss p]
+    otherwise.  [design] is free for the next candidate as soon as this
+    returns.  Raises what extraction raises. *)
+val prepare :
+  ?assigns:(string * Fixpt.Dtype.t) list ->
+  ?probe:string ->
+  ?cache:cache ->
+  seed:int ->
+  compiled_eval ->
+  Flow.design ->
+  [ `Hit of metrics | `Miss of prepared ]
+
+(** [evaluate_lanes ?probe ?cache ce ps] runs every prepared candidate
+    as one lane of a single program ({!Compile.compile_lanes},
+    dual-lattice), folds the probe monitors per lane, and returns the
+    metrics in order; each is inserted into [cache] under its key.
+    Lane [l]'s metrics are bit-identical to {!evaluate_compiled} of
+    candidate [l] alone — one-lane evaluation is this function on a
+    one-element array.
+
+    Every element must share the first one's graph ({!join}); an
+    array that does not, a NaN reaching a cast, or a probe missing from
+    the graph raises (an exception for which {!falls_back} holds), and
+    nothing is inserted. *)
+val evaluate_lanes :
+  ?probe:string ->
+  ?cache:cache ->
+  compiled_eval ->
+  prepared array ->
+  metrics array
+
+(** Raised by {!evaluate_lanes} when the probe's monitor points are not
+    where the recorded assignment pipeline puts them. *)
+exception Fallback of string
+
+(** [falls_back e] — [e] is one of the exceptions after which
+    {!evaluate_compiled} drops to the interpreter: {!Fallback},
+    {!Compile.Cannot_compile}, [Invalid_argument] or [Not_found]. *)
+val falls_back : exn -> bool
+
 (** [evaluate_compiled ~assigns ~probe ~seed ce design] — {!evaluate},
-    but on the flat-schedule executor: apply [assigns], reset, extract
-    the candidate's graph, {!Compile.compile} it (dual-lattice), run
+    but on the flat-schedule executor: {!prepare}, then
+    {!evaluate_lanes} on the one candidate: apply [assigns], reset,
+    extract the candidate's graph, compile it (dual-lattice), run
     [ce.cycles] ticks of [ce.stimulus ~seed], and rebuild {!metrics}
     from the program's probe chain and fused overflow counters.
 
@@ -112,10 +181,13 @@ val cache_key :
 
     Falls back to {!evaluate} (interpreted) when the extractor cannot
     close the design, compilation fails, or the probe cannot be located
-    in the extracted graph.  [metrics.counters] is always [None]: a
-    counter-attached evaluation observes env events the compiled run
-    does not generate, so the pool routes [~counters:true] requests to
-    the interpreter.
+    in the extracted graph ({!falls_back}).  When {!Trace.Spans}
+    collection is on, each fallback records a ["fallback"] span
+    (category ["eval"]) whose ["reason"] arg is the printed exception;
+    like every span it is outside the determinism contracts.
+    [metrics.counters] is always [None]: a counter-attached evaluation
+    observes env events the compiled run does not generate, so the pool
+    routes [~counters:true] requests to the interpreter.
 
     [?cache] short-circuits the compile-and-run on a content-address
     hit (see {!cache}); misses are inserted after computing.  The

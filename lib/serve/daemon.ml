@@ -106,8 +106,8 @@ let checkpoint_of t (p : Protocol.sweep_params) =
           ]
       in
       (* two concurrent identical jobs may share a key: their wave
-         files are byte-identical by determinism, and writes are atomic
-         renames, so the race is benign *)
+         files are byte-identical by determinism, and each write renames
+         its own temp file into place, so the race is benign *)
       Some (Sweep.Checkpoint.create ~resume:true ~dir ~key ())
 
 let run_sweep_job t ~id (p : Protocol.sweep_params) =

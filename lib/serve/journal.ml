@@ -45,8 +45,19 @@ let fsync_dir d =
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+(* A temp name unique to this write (pid, domain, counter) that still
+   ends in ".tmp": two writers of the same record never share a temp
+   file (with one shared name, the loser's rename found it gone), and
+   stale-temp cleanup still recognises it. *)
+let tmp_counter = Atomic.make 0
+
+let tmp_name path =
+  Printf.sprintf "%s.%d.%d.%d.tmp" path (Unix.getpid ())
+    (Domain.self () :> int)
+    (Atomic.fetch_and_add tmp_counter 1)
+
 let write_atomic path content =
-  let tmp = path ^ ".tmp" in
+  let tmp = tmp_name path in
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in

@@ -166,8 +166,9 @@ let monitor_range (t : t) (v : Value.t) =
   t.Env.range_prop <- Interval.join t.Env.range_prop incoming
 
 (* Quantize the incoming fixed value through the signal's compiled
-   quantizer, recording overflow events.  Uses the allocation-free
-   [exec_into] with a module-private scratch (simulation is
+   quantizer, recording overflow events.  Uses [exec_into] (no outcome
+   record; the cross-module call still boxes the float argument and
+   result) with a module-private scratch (simulation is
    single-domain; nothing re-enters between the cast and the reads). *)
 let qscratch = Fixpt.Quantize.create_scratch ()
 

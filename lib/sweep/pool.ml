@@ -3,16 +3,20 @@
 
     The pool runs the generator's wave protocol: each wave's candidates
     are independent, so they are distributed over [jobs] worker domains
-    pulling indices from an atomic counter.  Worker [i] owns a private
-    workload instance, created lazily inside its first domain and
-    reused across waves — domains are joined between waves, so the
-    hand-off is race-free by happens-before.
+    pulling units of work from an atomic counter — a chunk of up to
+    {!lane_width} compiled candidates evaluated as the lanes of one
+    program, or a single interpreted candidate.  Worker [i] owns a
+    private workload instance, created lazily inside its first domain and
+    reused across waves — worker 0 is the calling domain, the others
+    are spawned per wave and joined before the next, so the hand-off is
+    race-free by happens-before.
 
     Determinism: a candidate's metrics are a pure function of
-    (baseline snapshot, candidate), results land in a slot indexed by
-    wave position, and the report folds them in candidate-id order —
-    so the output is byte-identical for any [jobs], which the oracle's
-    sweep gate checks. *)
+    (baseline snapshot, candidate), whichever chunk and lane it ran in
+    (lane metrics are bit-identical to one-lane ones); results land in
+    a slot indexed by wave position, and the report folds them in
+    candidate-id order — so the output is byte-identical for any
+    [jobs], which the oracle's sweep gate checks. *)
 
 type progress = { wave : int; evaluated : int; total_so_far : int }
 
@@ -93,13 +97,126 @@ let eval_candidate_contained ?cache ~counters ~tid (workload : Workload.t)
       | (_, m) -> (c, Ok m)
       | exception exn2 -> (c, Error (Printexc.to_string exn2, 2)))
 
-(* One wave, [nw] domains pulling from a shared atomic cursor; results
-   land by wave index so completion order is irrelevant.  A domain that
-   dies outside the per-candidate containment parks its exception (and
-   the candidate id it was on); every domain is joined before anything
-   re-raises — no abandoned domains, no unclaimed slots. *)
-let eval_wave_parallel ?cache workload instances ~jobs ~counters wave_arr =
+(* --- candidate lanes ------------------------------------------------------ *)
+
+let lane_width = 32
+
+(* Candidates per chunk on the compiled path: at most [lane_width], and
+   small enough that a short wave still gives every worker a chunk. *)
+let chunk_size ~jobs len = max 1 (min lane_width ((len + jobs - 1) / jobs))
+
+type slot =
+  | Done of (Refine.Eval.metrics, string * int) result
+  | Lane of Refine.Eval.prepared
+  | Single  (** evaluate alone, through the per-candidate containment *)
+
+(* A chunk of compiled candidates on worker [wi]: prepare each one on
+   the worker's instance (a cache hit is done there), run the misses
+   that share the first miss's shape as the lanes of one program, and
+   send everything else — a different shape, a preparation or chunk
+   that raised — through {!eval_candidate_contained}, which re-evaluates
+   it from the baseline exactly as an unbatched sweep would.  Lane
+   metrics are bit-identical to one-lane metrics, so the outcomes do
+   not depend on how candidates were chunked. *)
+let eval_chunk ?cache ~tid (workload : Workload.t) instances wi
+    (cs : Candidate.t array) =
+  let spanned = Trace.Spans.enabled () in
+  let t0 = if spanned then Trace.Spans.now () else 0.0 in
+  let probe = workload.Workload.probe in
+  (* the first miss fixes the chunk's shape; each later one joins it
+     (dropping its own graph) or is evaluated alone *)
+  let first = ref None in
+  let join ce p =
+    match !first with
+    | None ->
+        first := Some (ce, p);
+        Lane p
+    | Some (_, first) -> (
+        match Refine.Eval.join ~first p with Some p -> Lane p | None -> Single)
+  in
+  let slots =
+    Array.map
+      (fun (c : Candidate.t) ->
+        let inst = instance_of workload instances wi in
+        match inst.Workload.compiled with
+        | None -> Single
+        | Some ce -> (
+            Sim.Env.restore_into inst.Workload.baseline inst.Workload.env;
+            inst.Workload.set_seed c.Candidate.stim_seed;
+            match
+              Refine.Eval.prepare
+                ~assigns:(Candidate.to_dtypes c)
+                ~probe ?cache ~seed:c.Candidate.stim_seed ce
+                inst.Workload.design
+            with
+            | `Hit m -> Done (Ok m)
+            | `Miss p -> join ce p
+            | exception e ->
+                (* the interpreter fallbacks leave the instance usable;
+                   anything else may have corrupted it, so the chunk's
+                   later candidates get a fresh one *)
+                if not (Refine.Eval.falls_back e) then
+                  instances.(wi) <- Some (workload.Workload.make_instance ());
+                Single))
+      cs
+  in
+  let lanes =
+    List.filter_map
+      (fun i -> match slots.(i) with Lane p -> Some (i, p) | _ -> None)
+      (List.init (Array.length cs) Fun.id)
+  in
+  (match !first with
+  | None -> ()
+  | Some (ce, _) -> (
+      match
+        Refine.Eval.evaluate_lanes ~probe ?cache ce
+          (Array.of_list (List.map snd lanes))
+      with
+      | ms -> List.iteri (fun j (i, _) -> slots.(i) <- Done (Ok ms.(j))) lanes
+      | exception _ -> List.iter (fun (i, _) -> slots.(i) <- Single) lanes));
+  if spanned then
+    Trace.Spans.record ~cat:"sweep" ~tid
+      ~name:
+        (Printf.sprintf "candidates %d..%d" cs.(0).Candidate.id
+           cs.(Array.length cs - 1).Candidate.id)
+      ~args:[ ("lanes", string_of_int (List.length lanes)) ]
+      ~t0 ~t1:(Trace.Spans.now ()) ();
+  Array.to_list
+    (Array.mapi
+       (fun i c ->
+         match slots.(i) with
+         | Done r -> (c, r)
+         | Lane _ | Single ->
+             eval_candidate_contained ?cache ~counters:false ~tid workload
+               instances wi c)
+       cs)
+
+(* The wave's units of work: chunks of compiled candidates, or single
+   interpreted ones (counter sweeps, workloads without a compiled path)
+   so that long candidates still spread evenly over the workers. *)
+let units ~jobs ~batched wave_arr =
   let len = Array.length wave_arr in
+  let size = if batched then chunk_size ~jobs len else 1 in
+  Array.init ((len + size - 1) / size) (fun u ->
+      Array.sub wave_arr (u * size) (min size (len - (u * size))))
+
+let eval_unit ?cache ~counters ~batched ~tid workload instances wi cs =
+  if batched then eval_chunk ?cache ~tid workload instances wi cs
+  else
+    List.map
+      (eval_candidate_contained ?cache ~counters ~tid workload instances wi)
+      (Array.to_list cs)
+
+(* One wave, [nw] workers (the calling domain and [nw - 1] spawned ones)
+   pulling units from a shared atomic cursor;
+   results land by unit index so completion order is irrelevant.  A
+   domain that dies outside the per-candidate containment parks its
+   exception (and the first candidate id of its unit); every domain is
+   joined before anything re-raises — no abandoned domains, no
+   unclaimed slots. *)
+let eval_wave_parallel ?cache workload instances ~jobs ~counters ~batched
+    units =
+  let len = Array.length units in
   let results = Array.make len None in
   let cursor = Atomic.make 0 in
   let nw = min jobs len in
@@ -111,17 +228,23 @@ let eval_wave_parallel ?cache workload instances ~jobs ~counters wave_arr =
         (try
            results.(k) <-
              Some
-               (eval_candidate_contained ?cache ~counters ~tid:wi workload
-                  instances wi wave_arr.(k))
+               (eval_unit ?cache ~counters ~batched ~tid:wi workload
+                  instances wi units.(k))
          with exn ->
-           worker_err.(wi) <- Some (exn, wave_arr.(k).Candidate.id);
+           worker_err.(wi) <- Some (exn, units.(k).(0).Candidate.id);
            raise Exit);
         pull ()
       end
     in
     try pull () with Exit -> ()
   in
-  let domains = Array.init nw (fun wi -> Domain.spawn (worker wi)) in
+  (* the calling domain is worker 0 rather than idling in a join: one
+     spawn fewer per wave, and its own share of the major GC's work
+     keeps pace with the workers' allocation *)
+  let domains =
+    Array.init (nw - 1) (fun wi -> Domain.spawn (worker (wi + 1)))
+  in
+  worker 0 ();
   (* join ALL domains first: re-raising at the first failed join would
      abandon running domains and leave slots unclaimed *)
   Array.iter Domain.join domains;
@@ -132,24 +255,34 @@ let eval_wave_parallel ?cache workload instances ~jobs ~counters wave_arr =
           raise (Worker_failure { worker = wi; candidate; exn })
       | None -> ())
     worker_err;
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> assert false (* every slot below [len] was claimed *))
-       results)
+  List.concat_map
+    (function
+      | Some r -> r
+      | None -> assert false (* every slot below [len] was claimed *))
+    (Array.to_list results)
 
 let eval_wave ?cache workload instances ~jobs ~counters wave =
   match wave with
   | [] -> []
-  | wave when jobs <= 1 ->
-      List.map
-        (eval_candidate_contained ?cache ~counters ~tid:0 workload instances
-           0)
-        wave
-  | wave ->
-      eval_wave_parallel ?cache workload instances ~jobs ~counters
-        (Array.of_list wave)
+  | (c0 : Candidate.t) :: _ ->
+      (* worker 0's instance tells whether the workload has a compiled
+         path; building it here (before any domain of the wave exists)
+         fails like any other worker instance *)
+      let inst0 =
+        try instance_of workload instances 0
+        with exn ->
+          raise
+            (Worker_failure { worker = 0; candidate = c0.Candidate.id; exn })
+      in
+      let batched = (not counters) && inst0.Workload.compiled <> None in
+      let units = units ~jobs ~batched (Array.of_list wave) in
+      if jobs <= 1 then
+        List.concat_map
+          (eval_unit ?cache ~counters ~batched ~tid:0 workload instances 0)
+          (Array.to_list units)
+      else
+        eval_wave_parallel ?cache workload instances ~jobs ~counters ~batched
+          units
 
 let run ?(jobs = 1) ?budget ?cache ?checkpoint ?on_wave ?(counters = false)
     ~workload ~generator () =

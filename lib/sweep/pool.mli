@@ -17,20 +17,37 @@ type progress = { wave : int; evaluated : int; total_so_far : int }
     unclaimed result slots.  A [Printexc] printer is registered. *)
 exception Worker_failure of { worker : int; candidate : int; exn : exn }
 
+(** Most candidates one compiled program evaluates at once (32).  On
+    the compiled path a worker pulls a chunk of
+    [max 1 (min lane_width (ceil (wave length / jobs)))] candidates —
+    so a short wave still reaches every worker — prepares each one on
+    its instance ({!Refine.Eval.prepare}: retype, reset, extract, cache
+    key and lookup) and runs the cache misses that share the first
+    miss's shape as the lanes of one program
+    ({!Refine.Eval.evaluate_lanes}).  A candidate of another shape, and
+    every candidate of a chunk that raises (e.g. NaN at a cast), is
+    evaluated alone through the per-candidate path below, so metrics,
+    quarantine and reports are those of one-lane evaluation.
+    Interpreted candidates (counter sweeps, workloads without a
+    compiled path) are pulled one at a time. *)
+val lane_width : int
+
 (** [run ~workload ~generator ()] sweeps to generator exhaustion.
 
-    [jobs] (default 1) is the worker-domain count; [1] evaluates in the
-    calling domain.  [budget] caps the total number of candidates —
-    waves are truncated, never reordered, so a budgeted sweep is still
-    deterministic.  [on_wave] fires after each wave (progress
-    reporting; called in the calling domain).
+    [jobs] (default 1) is the worker-domain count: the calling domain
+    is worker 0 and [jobs - 1] domains are spawned per wave, so [1]
+    evaluates in the calling domain alone.  [budget] caps the total
+    number of candidates — waves are truncated, never reordered, so a
+    budgeted sweep is still deterministic.  [on_wave] fires after each
+    wave (progress reporting; called in the calling domain).
 
     [counters:true] gathers {!Trace.Counters} per candidate evaluation
     (returned in each entry's metrics and folded into the report's
     [agg_counters] in candidate-id order, so {!Report.counters_json} is
     byte-identical for any [jobs] — the oracle's trace gate enforces
     it).  When span collection is on ({!Trace.Spans.set_enabled}), each
-    evaluation records a wall-clock span on its worker-domain lane.
+    chunk of candidate lanes and each candidate evaluated alone records
+    a wall-clock span on its worker-domain lane.
 
     [?cache] is a content-addressed evaluation cache hook
     ({!Refine.Eval.cache}), consulted on the compiled fast path only;

@@ -285,6 +285,162 @@ let test_conformance_gate () =
   check bool_t "gate covers all six workloads and the sweep" true
     (List.length r.Oracle.Compile_check.results >= 13)
 
+(* --- candidate lanes ------------------------------------------------------ *)
+
+(* The fir sweep workload's graph under one candidate's dtypes. *)
+let fir_graph inst (ce : Refine.Eval.compiled_eval) assigns =
+  Sim.Env.restore_into inst.Sweep.Workload.baseline inst.Sweep.Workload.env;
+  Refine.Eval.apply_assigns inst.Sweep.Workload.env assigns;
+  inst.Sweep.Workload.design.Refine.Flow.reset ();
+  ce.Refine.Eval.extract ()
+
+let test_same_shape () =
+  let w = Option.get (Sweep.Workload.find "fir") in
+  let inst = w.Sweep.Workload.make_instance () in
+  let ce = Option.get inst.Sweep.Workload.compiled in
+  let uniform f =
+    Sweep.Candidate.to_dtypes
+      (Sweep.Candidate.of_uniform ~id:0 ~specs:w.Sweep.Workload.specs ~f
+         ~stim_seed:0)
+  in
+  let g4 = fir_graph inst ce (uniform 4)
+  and g8 = fir_graph inst ce (uniform 8) in
+  check bool_t "dtypes alone do not change the shape" true
+    (Compile.same_shape g4 g8);
+  let const c =
+    let g = Sfg.Graph.create () in
+    let x = Sfg.Graph.input g "x" ~lo:(-1.0) ~hi:1.0 in
+    ignore (Sfg.Graph.add g x (Sfg.Graph.const g ~name:"c" c));
+    g
+  in
+  check bool_t "equal constants" true
+    (Compile.same_shape (const 0.5) (const 0.5));
+  check bool_t "signed zeros differ" false
+    (Compile.same_shape (const 0.0) (const (-0.0)));
+  check bool_t "different graphs" false (Compile.same_shape g4 (const 0.5))
+
+(* Mixed-dtype lanes, including a wrapping lane that overflows: every
+   lane's trace and overflow tally equal a batch-1 compile of its own
+   graph. *)
+let test_lanes_match_one_lane () =
+  let w = Option.get (Sweep.Workload.find "fir") in
+  let inst = w.Sweep.Workload.make_instance () in
+  let ce = Option.get inst.Sweep.Workload.compiled in
+  let specs = w.Sweep.Workload.specs in
+  let uniform f =
+    Sweep.Candidate.to_dtypes
+      (Sweep.Candidate.of_uniform ~id:0 ~specs ~f ~stim_seed:0)
+  in
+  let wrapping =
+    List.map
+      (fun (s : Sweep.Candidate.spec) ->
+        ( s.Sweep.Candidate.signal,
+          Fixpt.Dtype.make "Tw" ~n:6 ~f:6 ~overflow:Fixpt.Overflow_mode.Wrap
+            () ))
+      specs
+  in
+  let graphs =
+    Array.map (fir_graph inst ce)
+      [| uniform 2; wrapping; uniform 10; uniform 5 |]
+  in
+  let prog =
+    Compile.compile_lanes graphs.(0) (Array.map Compile.quantizers graphs)
+  in
+  let steps = 64 in
+  let inputs name ~lane step = stim name lane step in
+  let ct = Compile.traces prog ~steps ~inputs in
+  let ovf =
+    Array.init (Array.length graphs) (fun lane ->
+        Compile.lane_overflow_count prog ~lane)
+  in
+  check bool_t "the wrapping lane overflows" true (ovf.(1) > 0);
+  check int_t "lane tallies sum to the total" (Compile.overflow_count prog)
+    (Array.fold_left ( + ) 0 ovf);
+  Array.iteri
+    (fun lane g ->
+      let one = Compile.compile g in
+      let st =
+        Compile.traces one ~steps ~inputs:(fun name ~lane:_ step ->
+            stim name lane step)
+      in
+      check int_t
+        (Printf.sprintf "lane %d overflows" lane)
+        (Compile.overflow_count one) ovf.(lane);
+      List.iter2
+        (fun (name, bl) (_, sl) ->
+          Array.iteri
+            (fun s v ->
+              if bits bl.(lane).(s) <> bits v then
+                Alcotest.failf "lane %d node %s step %d: %h <> %h" lane name s
+                  bl.(lane).(s) v)
+            sl.(0))
+        ct st)
+    graphs;
+  check bool_t "a table of the wrong length is rejected" true
+    (match Compile.compile_lanes graphs.(0) [| [||] |] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* --- fallback visibility ------------------------------------------------- *)
+
+(* An extracted graph without the probe sends the evaluation to the
+   interpreter; with span collection on, that leaves exactly one
+   "fallback" span carrying the reason, and the metrics are the
+   interpreter's. *)
+let test_fallback_span () =
+  let w = Option.get (Sweep.Workload.find "fir") in
+  let inst = w.Sweep.Workload.make_instance () in
+  let ce = Option.get inst.Sweep.Workload.compiled in
+  let probe = w.Sweep.Workload.probe in
+  let probeless =
+    {
+      ce with
+      Refine.Eval.extract =
+        (fun () ->
+          let g = Sfg.Graph.create () in
+          let x = Sfg.Graph.input g "x_in" ~lo:(-1.0) ~hi:1.0 in
+          ignore (Sfg.Graph.alias g ~name:"x" x);
+          g);
+    }
+  in
+  let fresh () =
+    Sim.Env.restore_into inst.Sweep.Workload.baseline inst.Sweep.Workload.env;
+    inst.Sweep.Workload.set_seed 0
+  in
+  fresh ();
+  let mi =
+    Refine.Eval.evaluate ~assigns:fir_assigns ~probe inst.Sweep.Workload.design
+  in
+  fresh ();
+  Trace.Spans.reset ();
+  Trace.Spans.set_enabled true;
+  let mc =
+    Fun.protect
+      ~finally:(fun () -> Trace.Spans.set_enabled false)
+      (fun () ->
+        Refine.Eval.evaluate_compiled ~assigns:fir_assigns ~probe ~seed:0
+          probeless inst.Sweep.Workload.design)
+  in
+  let fallbacks =
+    List.filter
+      (fun (sp : Trace.Spans.span) -> sp.Trace.Spans.name = "fallback")
+      (Trace.Spans.drain ())
+  in
+  check int_t "exactly one fallback span" 1 (List.length fallbacks);
+  let sp = List.hd fallbacks in
+  check bool_t "span names its reason" true
+    (match List.assoc_opt "reason" sp.Trace.Spans.args with
+    | Some r -> String.length r > 2
+    | None -> false);
+  check bool_t "metrics are the interpreter's" true
+    (String.equal (Serve.Codec.encode mi) (Serve.Codec.encode mc));
+  fresh ();
+  ignore
+    (Refine.Eval.evaluate_compiled ~assigns:fir_assigns ~probe ~seed:0 probeless
+       inst.Sweep.Workload.design);
+  check int_t "nothing recorded while spans are off" 0
+    (List.length (Trace.Spans.drain ()))
+
 (* --- satellite: run_until exit semantics ------------------------------- *)
 
 let test_run_until_exits () =
@@ -396,6 +552,12 @@ let suite =
         test_fir_compiled_metric_parity;
       Alcotest.test_case "conformance workloads: compiled oracle gate"
         `Quick test_conformance_gate;
+      Alcotest.test_case "same_shape ignores only quantizer dtypes" `Quick
+        test_same_shape;
+      Alcotest.test_case "mixed-dtype lanes = one-lane programs" `Quick
+        test_lanes_match_one_lane;
+      Alcotest.test_case "interpreter fallback records one span" `Quick
+        test_fallback_span;
       Alcotest.test_case "run_until: both exits count committed ticks"
         `Quick test_run_until_exits;
       Alcotest.test_case "wordlength lsb clamps at float exponent range"

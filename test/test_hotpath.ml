@@ -250,6 +250,62 @@ let test_tick_commits_only_staged () =
   Sim.Env.tick env;
   check float_t "last write wins" 5.0 (Sim.Signal.peek_fx a)
 
+(* --- allocation guard: the compiled lane kernel ------------------------ *)
+
+(* A host-independent budget, not a wall-clock one: the fir graph,
+   compiled at the pool's lane width with one sweep candidate per lane
+   (f = 2..10), run without [on_step], allocates at most 4 minor words
+   per lane-cycle.  The stimulus closure's boxed return accounts for 2:
+   the workload's samples are drawn beforehand (the generator's own
+   allocation is not the kernel's), and an input it holds at zero (the
+   delay-line input) is fed the constant, as its own closure does.  A
+   cast, clamp or min/max that boxes again breaks the budget. *)
+let test_lane_kernel_allocation () =
+  let w = Sweep.Workload.fir () in
+  let inst = w.Sweep.Workload.make_instance () in
+  let ce = Option.get inst.Sweep.Workload.compiled in
+  let b = Sweep.Pool.lane_width in
+  let graph f =
+    let c =
+      Sweep.Candidate.of_uniform ~id:0 ~specs:w.Sweep.Workload.specs ~f
+        ~stim_seed:0
+    in
+    Sim.Env.restore_into inst.Sweep.Workload.baseline inst.Sweep.Workload.env;
+    Refine.Eval.apply_assigns inst.Sweep.Workload.env
+      (Sweep.Candidate.to_dtypes c);
+    inst.Sweep.Workload.design.Refine.Flow.reset ();
+    ce.Refine.Eval.extract ()
+  in
+  let graphs = Array.init b (fun l -> graph (2 + (l mod 9))) in
+  let prog =
+    Compile.compile_lanes ~dual:true graphs.(0)
+      (Array.map Compile.quantizers graphs)
+  in
+  let cycles = ce.Refine.Eval.cycles in
+  let feeds =
+    List.map
+      (fun name ->
+        let lanes =
+          Array.init b (fun l ->
+              Array.init cycles (ce.Refine.Eval.stimulus ~seed:l name))
+        in
+        ( name,
+          if Array.for_all (Array.for_all (fun v -> v = 0.0)) lanes then
+            fun ~lane:_ _ -> 0.0
+          else fun ~lane step -> lanes.(lane).(step) ))
+      (Array.to_list (Compile.input_names prog))
+  in
+  let inputs name = List.assoc name feeds in
+  Compile.run prog ~steps:cycles ~inputs;
+  let w0 = Gc.minor_words () in
+  Compile.run prog ~steps:cycles ~inputs;
+  let per_lane_cycle =
+    (Gc.minor_words () -. w0) /. Float.of_int (b * cycles)
+  in
+  if per_lane_cycle > 4.0 then
+    Alcotest.failf "lane kernel allocates %.2f minor words per lane-cycle (> 4)"
+      per_lane_cycle
+
 let suite =
   ( "hot-path",
     [
@@ -269,6 +325,8 @@ let suite =
       Alcotest.test_case "rng reseed rewinds" `Quick test_rng_reseed_rewinds;
       Alcotest.test_case "tick commits only staged" `Quick
         test_tick_commits_only_staged;
+      Alcotest.test_case "lane kernel allocation budget" `Quick
+        test_lane_kernel_allocation;
       Test_support.Qseed.to_alcotest prop_wrap_code_small_n_matches_modular;
       Test_support.Qseed.to_alcotest prop_paths_agree_saturate;
       Test_support.Qseed.to_alcotest prop_paths_agree_wrap;

@@ -347,6 +347,50 @@ let test_checkpoint_rejects_counters () =
        false
      with Invalid_argument _ -> true)
 
+(* Two writers of the same wave record — two identical daemon jobs
+   share a checkpoint key — must not share a temp file: with one fixed
+   temp name, the loser's rename found it already renamed away. *)
+let test_checkpoint_concurrent_record () =
+  let dir = scratch () in
+  let w = Sweep.Workload.fir ~n:64 () in
+  let inst = w.Sweep.Workload.make_instance () in
+  let cand id f =
+    Sweep.Candidate.of_uniform ~id ~specs:w.Sweep.Workload.specs ~f
+      ~stim_seed:id
+  in
+  let c0 = cand 0 6 and c1 = cand 1 9 in
+  inst.Sweep.Workload.set_seed 0;
+  let m =
+    Refine.Eval.evaluate ~assigns:(Sweep.Candidate.to_dtypes c0)
+      ~probe:w.Sweep.Workload.probe inst.Sweep.Workload.design
+  in
+  let outcomes = [ (c0, Ok m); (c1, Error ("injected", 2)) ] in
+  let writers =
+    Array.init 2 (fun _ -> Sweep.Checkpoint.create ~dir ~key:ckpt_key ())
+  in
+  let raised = Atomic.make 0 in
+  Array.map
+    (fun cp ->
+      Domain.spawn (fun () ->
+          for _ = 1 to 200 do
+            try Sweep.Checkpoint.record cp ~wave:1 outcomes
+            with _ -> Atomic.incr raised
+          done))
+    writers
+  |> Array.iter Domain.join;
+  check int_t "no writer raised" 0 (Atomic.get raised);
+  let cp = Sweep.Checkpoint.create ~resume:true ~dir ~key:ckpt_key () in
+  check bool_t "the record decodes" true
+    (match Sweep.Checkpoint.lookup cp ~wave:1 [ c0; c1 ] with
+    | Some [ (_, Ok m'); (_, Error ("injected", 2)) ] ->
+        Refine.Eval.(m'.sqnr_db = m.sqnr_db && m'.total_bits = m.total_bits)
+    | _ -> false);
+  check int_t "no temp file left" 0
+    (List.length
+       (List.filter
+          (fun n -> Filename.check_suffix n ".tmp")
+          (Array.to_list (Sys.readdir (Sweep.Checkpoint.dir cp)))))
+
 let suite =
   ( "sweep",
     [
@@ -372,4 +416,6 @@ let suite =
         test_checkpoint_corrupt_wave_reevaluated;
       Alcotest.test_case "checkpoint rejects counters" `Quick
         test_checkpoint_rejects_counters;
+      Alcotest.test_case "checkpoint concurrent record" `Quick
+        test_checkpoint_concurrent_record;
     ] )
