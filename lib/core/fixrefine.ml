@@ -34,6 +34,9 @@
       corruption, SEU bitflips, forced overflows, stream starvation)
       and the graceful-degradation plumbing behind [fxrefine faultsim]
       and [fxrefine check --faults];
+    - {!Durable}: the one on-disk record layer — CRC-framed, atomically
+      written records behind the evaluation cache, the sweep wave
+      journal and the daemon intent journal;
     - {!Serve}: refinement-as-a-service — the content-addressed
       evaluation cache (persistent memoization of candidate
       evaluations) and the [fxrefine serve] daemon executing sweep
@@ -58,6 +61,7 @@ module Refine = Refine
 module Dsp = Dsp
 module Sweep = Sweep
 module Fault = Fault
+module Durable = Durable
 module Serve = Serve
 module Vhdl = Vhdl
 module Oracle = Oracle

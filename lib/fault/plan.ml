@@ -205,203 +205,70 @@ let to_json t =
        (List.map Trace.Json.string_lit t.targets))
     (Trace.Json.string_lit (policy_override_to_string t.on_overflow))
 
-(* --- a minimal flat-JSON reader ---------------------------------------- *)
-
-(* The plan grammar is one flat object of numbers, null, strings and
-   string arrays — small enough to parse by recursive descent without a
-   JSON dependency (the container bakes none in). *)
-
 exception Parse of string
 
 let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse s)) fmt
 
-type tok =
-  | Tobj_open
-  | Tobj_close
-  | Tarr_open
-  | Tarr_close
-  | Tcolon
-  | Tcomma
-  | Tstring of string
-  | Tnumber of float
-  | Tnull
-
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  let push t = toks := t :: !toks in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-    | ' ' | '\t' | '\n' | '\r' -> incr i
-    | '{' -> push Tobj_open; incr i
-    | '}' -> push Tobj_close; incr i
-    | '[' -> push Tarr_open; incr i
-    | ']' -> push Tarr_close; incr i
-    | ':' -> push Tcolon; incr i
-    | ',' -> push Tcomma; incr i
-    | '"' ->
-        let b = Buffer.create 16 in
-        incr i;
-        let rec scan () =
-          if !i >= n then parse_error "unterminated string"
-          else
-            match s.[!i] with
-            | '"' -> incr i
-            | '\\' ->
-                if !i + 1 >= n then parse_error "unterminated escape";
-                (match s.[!i + 1] with
-                | '"' -> Buffer.add_char b '"'
-                | '\\' -> Buffer.add_char b '\\'
-                | '/' -> Buffer.add_char b '/'
-                | 'n' -> Buffer.add_char b '\n'
-                | 't' -> Buffer.add_char b '\t'
-                | 'r' -> Buffer.add_char b '\r'
-                | e -> parse_error "unsupported escape \\%c" e);
-                i := !i + 2;
-                scan ()
-            | c ->
-                Buffer.add_char b c;
-                incr i;
-                scan ()
-        in
-        scan ();
-        push (Tstring (Buffer.contents b))
-    | 'n' when !i + 4 <= n && String.sub s !i 4 = "null" ->
-        push Tnull;
-        i := !i + 4
-    | '-' | '+' | '0' .. '9' ->
-        let j = ref !i in
-        while
-          !j < n
-          && (match s.[!j] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | 'x' | 'a' .. 'f'
-             | 'A' .. 'F' | 'p' | 'P' ->
-                 true
-             | _ -> false)
-        do
-          incr j
-        done;
-        let lit = String.sub s !i (!j - !i) in
-        (match float_of_string_opt lit with
-        | Some f -> push (Tnumber f)
-        | None -> parse_error "bad number %S" lit);
-        i := !j
-    | c -> parse_error "unexpected character %C" c);
-  done;
-  List.rev !toks
-
-type jvalue =
-  | Jnum of float
-  | Jstr of string
-  | Jnull
-  | Jarr of string list
-
-(* Parse exactly one flat object { "key": scalar-or-string-array, ... }. *)
-let parse_flat_object s =
-  let toks = tokenize s in
-  let expect t rest what =
-    match rest with
-    | x :: rest when x = t -> rest
-    | _ -> parse_error "expected %s" what
-  in
-  let rec members acc rest =
-    match rest with
-    | Tobj_close :: rest -> (List.rev acc, rest)
-    | Tstring k :: rest -> (
-        let rest = expect Tcolon rest "':'" in
-        let v, rest =
-          match rest with
-          | Tnumber f :: rest -> (Jnum f, rest)
-          | Tstring v :: rest -> (Jstr v, rest)
-          | Tnull :: rest -> (Jnull, rest)
-          | Tarr_open :: rest ->
-              let rec elems acc rest =
-                match rest with
-                | Tarr_close :: rest -> (List.rev acc, rest)
-                | Tstring v :: Tcomma :: rest -> elems (v :: acc) rest
-                | Tstring v :: rest -> elems (v :: acc) rest
-                | _ -> parse_error "expected string array element"
-              in
-              let vs, rest = elems [] rest in
-              (Jarr vs, rest)
-          | _ -> parse_error "expected value for key %S" k
-        in
-        match rest with
-        | Tcomma :: rest -> members ((k, v) :: acc) rest
-        | Tobj_close :: rest -> (List.rev ((k, v) :: acc), rest)
-        | _ -> parse_error "expected ',' or '}' after key %S" k)
-    | _ -> parse_error "expected member or '}'"
-  in
-  match toks with
-  | Tobj_open :: rest -> (
-      match members [] rest with
-      | fields, [] -> fields
-      | _, _ -> parse_error "trailing tokens after object")
-  | _ -> parse_error "expected '{'"
-
-(** Parse a plan from its flat JSON object.  Unknown keys are an error
-    (they would silently change the experiment); missing keys take the
-    {!make} defaults.  Returns [Error msg] on malformed input. *)
+(** Parse a plan from its flat JSON object ({!Trace.Json.parse_object}).
+    Unknown keys are an error (they would silently change the
+    experiment); missing keys take the {!make} defaults.  Returns
+    [Error msg] on malformed input. *)
 let of_json s =
-  match parse_flat_object s with
-  | exception Parse msg -> Error (Printf.sprintf "Fault.Plan.of_json: %s" msg)
-  | fields -> (
-      let p = ref none in
-      let num what v =
+  let num what : Trace.Json.value -> float = function
+    | Float f -> f
+    | Int i -> float_of_int i
+    | _ -> parse_error "%s: expected a number" what
+  in
+  let inum what : Trace.Json.value -> int = function
+    | Int i -> i
+    | Float f when Float.is_integer f -> int_of_float f
+    | _ -> parse_error "%s: expected an integer" what
+  in
+  let field p (k, (v : Trace.Json.value)) =
+    match k with
+    | "seed" -> { p with seed = inum k v }
+    | "nan_rate" -> { p with nan_rate = num k v }
+    | "inf_rate" -> { p with inf_rate = num k v }
+    | "denormal_rate" -> { p with denormal_rate = num k v }
+    | "extreme_rate" -> { p with extreme_rate = num k v }
+    | "extreme_mag" -> { p with extreme_mag = num k v }
+    | "bitflip_rate" -> { p with bitflip_rate = num k v }
+    | "force_overflow_rate" -> { p with force_overflow_rate = num k v }
+    | "starve_after" -> (
         match v with
-        | Jnum f -> f
-        | _ -> parse_error "%s: expected a number" what
-      in
-      let inum what v =
-        let f = num what v in
-        if Float.is_integer f then int_of_float f
-        else parse_error "%s: expected an integer" what
-      in
-      try
-        List.iter
-          (fun (k, v) ->
-            match k with
-            | "seed" -> p := { !p with seed = inum k v }
-            | "nan_rate" -> p := { !p with nan_rate = num k v }
-            | "inf_rate" -> p := { !p with inf_rate = num k v }
-            | "denormal_rate" -> p := { !p with denormal_rate = num k v }
-            | "extreme_rate" -> p := { !p with extreme_rate = num k v }
-            | "extreme_mag" -> p := { !p with extreme_mag = num k v }
-            | "bitflip_rate" -> p := { !p with bitflip_rate = num k v }
-            | "force_overflow_rate" ->
-                p := { !p with force_overflow_rate = num k v }
-            | "starve_after" -> (
-                match v with
-                | Jnull -> p := { !p with starve_after = None }
-                | v -> p := { !p with starve_after = Some (inum k v) })
-            | "targets" -> (
-                match v with
-                | Jarr vs -> p := { !p with targets = vs }
-                | _ -> parse_error "targets: expected a string array")
-            | "on_overflow" -> (
-                match v with
-                | Jstr s -> (
-                    match policy_override_of_string s with
-                    | Ok o -> p := { !p with on_overflow = o }
-                    | Error e -> parse_error "%s" e)
-                | _ -> parse_error "on_overflow: expected a string")
-            | k -> parse_error "unknown key %S" k)
-          fields;
-        (* revalidate through make: rates from JSON must obey the same
-           bounds as rates from code *)
-        let q = !p in
-        Ok
-          (make ~seed:q.seed ~nan_rate:q.nan_rate ~inf_rate:q.inf_rate
-             ~denormal_rate:q.denormal_rate ~extreme_rate:q.extreme_rate
-             ~extreme_mag:q.extreme_mag ~bitflip_rate:q.bitflip_rate
-             ~force_overflow_rate:q.force_overflow_rate
-             ?starve_after:q.starve_after ~targets:q.targets
-             ~on_overflow:q.on_overflow ())
-      with
-      | Parse msg -> Error (Printf.sprintf "Fault.Plan.of_json: %s" msg)
-      | Invalid_argument msg -> Error msg)
+        | Null -> { p with starve_after = None }
+        | v -> { p with starve_after = Some (inum k v) })
+    | "targets" -> (
+        match v with
+        | Strings vs -> { p with targets = vs }
+        | _ -> parse_error "targets: expected a string array")
+    | "on_overflow" -> (
+        match v with
+        | String s -> (
+            match policy_override_of_string s with
+            | Ok o -> { p with on_overflow = o }
+            | Error e -> parse_error "%s" e)
+        | _ -> parse_error "on_overflow: expected a string")
+    | k -> parse_error "unknown key %S" k
+  in
+  (* revalidate through make: rates from JSON must obey the same bounds
+     as rates from code *)
+  match
+    let fields =
+      match Trace.Json.parse_object s with
+      | Ok fields -> fields
+      | Error msg -> raise (Parse msg)
+    in
+    let q = List.fold_left field none fields in
+    make ~seed:q.seed ~nan_rate:q.nan_rate ~inf_rate:q.inf_rate
+      ~denormal_rate:q.denormal_rate ~extreme_rate:q.extreme_rate
+      ~extreme_mag:q.extreme_mag ~bitflip_rate:q.bitflip_rate
+      ~force_overflow_rate:q.force_overflow_rate ?starve_after:q.starve_after
+      ~targets:q.targets ~on_overflow:q.on_overflow ()
+  with
+  | p -> Ok p
+  | exception Parse msg -> Error ("Fault.Plan.of_json: " ^ msg)
+  | exception Invalid_argument msg -> Error msg
 
 let pp ppf t =
   let rate name r =

@@ -23,7 +23,14 @@
        seeded offsets (truncations and byte flips); {!Serve.Cache.scrub}
        must detect {e every} damaged entry, every subsequent lookup of
        a damaged key must be a clean miss, and undamaged entries must
-       still read back verbatim.}}
+       still read back verbatim.}
+    {- {b Wave corruption}: the journaled waves of a finished
+       checkpointed sweep are damaged the same way; the resume must
+       re-evaluate exactly the damaged waves, replay the rest, and
+       render the reference bytes.}
+    {- {b Intent corruption}: a journal of write-ahead intents is
+       damaged the same way; every damaged intent must be quarantined
+       and only the undamaged ones, verbatim, left pending for re-run.}}
 
     All child pids are appended to [<scratch>/pids] so [scripts/check.sh]
     can reap orphans if the gate itself is killed. *)
@@ -81,10 +88,26 @@ type scrub_leg = {
   intact : bool;  (** every undamaged entry still reads back verbatim *)
 }
 
+type wave_leg = {
+  journaled : int;  (** waves the undisturbed checkpointed run journaled *)
+  damaged_waves : int;  (** wave files truncated or byte-flipped *)
+  replayed : int;  (** waves the resume replayed — must be the undamaged ones *)
+  resumed_identical : bool;  (** resumed report byte-equal to the reference *)
+}
+
+type intent_leg = {
+  recorded : int;  (** intents written *)
+  damaged_intents : int;  (** intent files truncated or byte-flipped *)
+  quarantined_damaged : int;  (** damaged intents found quarantined *)
+  intact_pending : bool;  (** pending = exactly the undamaged intents, verbatim *)
+}
+
 type result = {
   sweeps : sweep_leg list;
   daemon : daemon_leg;
   scrub : scrub_leg;
+  waves : wave_leg;
+  intents : intent_leg;
 }
 
 type report = { jobs : int; seed : int; result : result }
@@ -379,6 +402,57 @@ let daemon_leg ~scratch st =
     socket_removed;
   }
 
+(* --- seeded corruption (legs 3-5) ------------------------------------------ *)
+
+(* [k] distinct indices below [n], ascending. *)
+let seeded_subset st ~k n =
+  let rec pick acc =
+    if List.length acc = k then List.sort compare acc
+    else
+      let i = rand_below st n in
+      if List.mem i acc then pick acc else pick (i :: acc)
+  in
+  pick []
+
+(* Truncate the file (possibly to zero bytes); flip one byte at a
+   seeded offset (xor with a nonzero value always changes it); or
+   replace one seeded decimal digit of the record body with another —
+   a same-length edit that keeps a number literal valid, so only the
+   record's CRC can tell. *)
+let damage st kind path =
+  let raw = Durable.read_file path in
+  let damaged =
+    match kind with
+    | `Truncate -> String.sub raw 0 (rand_below st (String.length raw))
+    | `Flip ->
+        let b = Bytes.of_string raw in
+        let off = rand_below st (Bytes.length b) in
+        let x = 1 + rand_below st 255 in
+        Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor x));
+        Bytes.to_string b
+    | `Digit ->
+        let body =
+          match String.index_opt raw '\n' with Some i -> i + 1 | None -> 0
+        in
+        let digits =
+          List.filter
+            (fun i -> i >= body && raw.[i] >= '0' && raw.[i] <= '9')
+            (List.init (String.length raw) Fun.id)
+        in
+        let off = List.nth digits (rand_below st (List.length digits)) in
+        let d = (Char.code raw.[off] - 48 + 1 + rand_below st 9) mod 10 in
+        String.mapi (fun i c -> if i = off then Char.chr (48 + d) else c) raw
+  in
+  let oc = open_out_bin path in
+  output_string oc damaged;
+  close_out oc
+
+(* Damage every file in [paths], cycling through the kinds of damage. *)
+let damage_all st paths =
+  List.iteri
+    (fun j -> damage st (List.nth [ `Digit; `Flip; `Truncate ] (j mod 3)))
+    paths
+
 (* --- leg 3: seeded cache corruption + scrub -------------------------------- *)
 
 let scrub_entries = 24
@@ -401,41 +475,12 @@ let scrub_leg ~scratch st =
   done;
   (* damage AFTER the cache loaded: scrub's job is decay behind a live
      cache's back, not load-time validation *)
-  let victims =
-    let rec pick acc =
-      if List.length acc = scrub_corrupted then acc
-      else
-        let i = rand_below st scrub_entries in
-        if List.mem i acc then pick acc else pick (i :: acc)
-    in
-    List.sort compare (pick [])
-  in
+  let victims = seeded_subset st ~k:scrub_corrupted scrub_entries in
   List.iter
     (fun i ->
-      let path = Filename.concat dir (key i ^ ".entry") in
-      let raw =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let damaged =
-        if i mod 2 = 0 then
-          (* truncation — possibly to zero bytes *)
-          String.sub raw 0 (rand_below st (String.length raw))
-        else begin
-          (* single byte-flip at a seeded offset (header or payload);
-             xor with a nonzero value always changes the byte *)
-          let b = Bytes.of_string raw in
-          let off = rand_below st (Bytes.length b) in
-          let x = 1 + rand_below st 255 in
-          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor x));
-          Bytes.to_string b
-        end
-      in
-      let oc = open_out_bin path in
-      output_string oc damaged;
-      close_out oc)
+      damage st
+        (if i mod 2 = 0 then `Truncate else `Flip)
+        (Filename.concat dir (key i ^ ".entry")))
     victims;
   let s = Serve.Cache.scrub cache in
   let undetected =
@@ -462,6 +507,72 @@ let scrub_leg ~scratch st =
     detected = s.Serve.Cache.healed;
     undetected;
     intact;
+  }
+
+(* --- leg 4: seeded wave corruption + resume --------------------------------- *)
+
+let wave_leg ~scratch ~reference ~jobs st =
+  let dir = Filename.concat scratch "waves" in
+  ignore (leg_sweep ~fresh:true ~dir ~jobs:1 ());
+  let files =
+    Durable.scan ~prefix:"wave-" ~suffix:".wv"
+      (Filename.concat (Filename.concat dir "ckpt") leg_key)
+  in
+  let n = List.length files in
+  let victims = seeded_subset st ~k:(min n 3) n in
+  damage_all st (List.map (fun i -> snd (List.nth files i)) victims);
+  (* drop the cache, so a damaged wave is really re-evaluated *)
+  rm_rf (Filename.concat dir "cache");
+  let json, _, (replayed, _) = leg_sweep ~fresh:false ~dir ~jobs () in
+  {
+    journaled = n;
+    damaged_waves = List.length victims;
+    replayed;
+    resumed_identical = String.equal json reference;
+  }
+
+(* --- leg 5: seeded intent corruption + recovery scan ----------------------- *)
+
+let intent_count = 6
+
+let intent_leg ~scratch st =
+  let dir = Filename.concat scratch "intents" in
+  let j = Serve.Journal.create ~dir in
+  let entries =
+    List.init intent_count (fun i ->
+        let line =
+          Serve.Protocol.request_to_line
+            (Serve.Protocol.Sweep
+               { id = string_of_int i; params = daemon_params (1 + i) })
+        in
+        let e =
+          { Serve.Journal.name = Serve.Journal.fresh_name j; attempts = 1; line }
+        in
+        Serve.Journal.record_intent j e;
+        e)
+  in
+  let victims = seeded_subset st ~k:(intent_count / 2) intent_count in
+  let damaged, intact =
+    List.partition snd (List.mapi (fun i e -> (e, List.mem i victims)) entries)
+  in
+  let damaged = List.map fst damaged and intact = List.map fst intact in
+  damage_all st
+    (List.map
+       (fun (e : Serve.Journal.entry) ->
+         Filename.concat dir ("job-" ^ e.name ^ ".intent"))
+       damaged);
+  (* the daemon's recovery pass re-runs exactly [pending] *)
+  let pending = Serve.Journal.pending j in
+  let quarantined = Serve.Journal.quarantined j in
+  {
+    recorded = intent_count;
+    damaged_intents = List.length damaged;
+    quarantined_damaged =
+      List.length
+        (List.filter
+           (fun (e : Serve.Journal.entry) -> List.mem e.name quarantined)
+           damaged);
+    intact_pending = pending = intact;
   }
 
 (* --- the gate -------------------------------------------------------------- *)
@@ -526,7 +637,9 @@ let run ?jobs ?(seed = 0) () =
       killed_legs
   in
   let scrub = scrub_leg ~scratch st in
-  { jobs; seed; result = { sweeps; daemon; scrub } }
+  let waves = wave_leg ~scratch ~reference ~jobs st in
+  let intents = intent_leg ~scratch st in
+  { jobs; seed; result = { sweeps; daemon; scrub; waves; intents } }
 
 let sweep_leg_passed (l : sweep_leg) =
   l.killed && l.waves_journaled >= 1 && l.replayed_waves >= 1
@@ -541,10 +654,22 @@ let daemon_passed (d : daemon_leg) =
 let scrub_passed (s : scrub_leg) =
   s.detected = s.corrupted && s.undetected = 0 && s.intact
 
+let wave_passed (w : wave_leg) =
+  w.damaged_waves >= 1
+  && w.replayed = w.journaled - w.damaged_waves
+  && w.resumed_identical
+
+let intent_passed (i : intent_leg) =
+  i.damaged_intents >= 1
+  && i.quarantined_damaged = i.damaged_intents
+  && i.intact_pending
+
 let passed t =
   List.for_all sweep_leg_passed t.result.sweeps
   && daemon_passed t.result.daemon
   && scrub_passed t.result.scrub
+  && wave_passed t.result.waves
+  && intent_passed t.result.intents
 
 let pp_report ppf t =
   let r = t.result in
@@ -579,4 +704,18 @@ let pp_report ppf t =
      corrupt, clean entries %s)@."
     (verdict (scrub_passed s))
     s.detected s.corrupted s.undetected
-    (if s.intact then "intact" else "DAMAGED")
+    (if s.intact then "intact" else "DAMAGED");
+  let w = r.waves in
+  Format.fprintf ppf
+    "  wave corruption + resume: %s (%d/%d waves damaged, %d replayed, \
+     report %s)@."
+    (verdict (wave_passed w))
+    w.damaged_waves w.journaled w.replayed
+    (if w.resumed_identical then "byte-identical" else "DIFFERENT");
+  let i = r.intents in
+  Format.fprintf ppf
+    "  intent corruption: %s (%d/%d intents damaged, %d quarantined, \
+     undamaged pending %s)"
+    (verdict (intent_passed i))
+    i.damaged_intents i.recorded i.quarantined_damaged
+    (if i.intact_pending then "verbatim" else "WRONG")

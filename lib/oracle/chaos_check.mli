@@ -1,14 +1,18 @@
 (** Chaos gate — the oracle for crash safety, enforced with real
     [SIGKILL]s ([fxrefine check --chaos]).
 
-    Three legs: forked checkpointed sweeps are killed at seeded
+    Five legs: forked checkpointed sweeps are killed at seeded
     evaluation indices and resumed to byte-identical reports (crossing
     [jobs] between killer and resumer); a journaled daemon is killed
     mid-job and its restart must re-run every write-ahead intent and
     answer an identical resubmit with the reference bytes before
-    draining cleanly on [SIGTERM]; and a cache directory corrupted at
-    seeded offsets must have every damaged entry detected by
-    {!Serve.Cache.scrub} — no lookup may ever serve damaged data.
+    draining cleanly on [SIGTERM]; and three stores are corrupted at
+    seeded offsets (truncations and byte flips) — a cache directory
+    must have every damaged entry detected by {!Serve.Cache.scrub}
+    (no lookup may ever serve damaged data), a sweep resumed over
+    damaged wave records must re-evaluate exactly those waves and
+    still render the reference bytes, and every damaged intent must be
+    quarantined, never left pending for re-run.
 
     Children's pids are appended to a [pids] file inside the gate's
     [fxchaos-*] scratch directory so the caller's cleanup trap can
@@ -45,10 +49,26 @@ type scrub_leg = {
   intact : bool;  (** every undamaged entry still reads back verbatim *)
 }
 
+type wave_leg = {
+  journaled : int;  (** waves the undisturbed checkpointed run journaled *)
+  damaged_waves : int;  (** wave files truncated or byte-flipped *)
+  replayed : int;  (** waves the resume replayed — must be the undamaged ones *)
+  resumed_identical : bool;  (** resumed report byte-equal to the reference *)
+}
+
+type intent_leg = {
+  recorded : int;  (** intents written *)
+  damaged_intents : int;  (** intent files truncated or byte-flipped *)
+  quarantined_damaged : int;  (** damaged intents found quarantined *)
+  intact_pending : bool;  (** pending = exactly the undamaged intents, verbatim *)
+}
+
 type result = {
   sweeps : sweep_leg list;
   daemon : daemon_leg;
   scrub : scrub_leg;
+  waves : wave_leg;
+  intents : intent_leg;
 }
 
 type report = { jobs : int; seed : int; result : result }

@@ -29,6 +29,86 @@ type metrics = {
           with [~counters:true]; mergeable) *)
 }
 
+(* --- the bit-exact metrics codec ------------------------------------------
+
+   Every float travels as a [%h] hex literal ([float_of_string] reverses
+   it exactly, nan and infinities included) and the probe monitors
+   through {!Stats.Running.raw} / {!Stats.Err_stats.raw}, the exact
+   accumulator fields — so a decoded record merges into report
+   aggregates bit for bit like the freshly computed one.  The payload
+   is a fixed sequence of labelled lines: [fxmetrics 1], then
+   [sqnr]/[bits]/[ovf]/[errmax]/[pv]/[pe]. *)
+
+let metrics_header = "fxmetrics 1"
+let flit = Printf.sprintf "%h"
+
+let floats_line = function
+  | None -> "none"
+  | Some a -> String.concat " " (Array.to_list (Array.map flit a))
+
+let encode_metrics m =
+  if m.counters <> None then
+    invalid_arg
+      "Refine.Eval.encode_metrics: counter-carrying metrics are not encodable";
+  String.concat "\n"
+    [
+      metrics_header;
+      (match m.sqnr_db with None -> "sqnr none" | Some v -> "sqnr " ^ flit v);
+      Printf.sprintf "bits %d" m.total_bits;
+      Printf.sprintf "ovf %d" m.overflow_count;
+      "errmax " ^ flit m.probe_err_max;
+      "pv " ^ floats_line (Option.map Stats.Running.raw m.probe_values);
+      "pe " ^ floats_line (Option.map Stats.Err_stats.raw m.probe_err);
+    ]
+
+let ( let* ) = Option.bind
+
+(* [parse] what follows the ["<label> "] prefix of [line]. *)
+let field label parse line =
+  let pl = String.length label + 1 in
+  if String.length line > pl && String.equal (String.sub line 0 pl) (label ^ " ")
+  then parse (String.sub line pl (String.length line - pl))
+  else None
+
+let float_opt s =
+  if String.equal s "none" then Some None
+  else Option.map Option.some (float_of_string_opt s)
+
+(* [none], or space-separated floats rebuilt through [of_raw] (which
+   rejects a wrong arity). *)
+let monitor_opt of_raw s =
+  if String.equal s "none" then Some None
+  else
+    let parts = String.split_on_char ' ' s in
+    let floats = List.filter_map float_of_string_opt parts in
+    if List.compare_lengths floats parts <> 0 then None
+    else
+      match of_raw (Array.of_list floats) with
+      | r -> Some (Some r)
+      | exception Invalid_argument _ -> None
+
+let decode_metrics s =
+  match String.split_on_char '\n' s with
+  | [ header; sqnr; bits; ovf; errmax; pv; pe ]
+    when String.equal header metrics_header ->
+      let* sqnr_db = field "sqnr" float_opt sqnr in
+      let* total_bits = field "bits" int_of_string_opt bits in
+      let* overflow_count = field "ovf" int_of_string_opt ovf in
+      let* probe_err_max = field "errmax" float_of_string_opt errmax in
+      let* probe_values = field "pv" (monitor_opt Stats.Running.of_raw) pv in
+      let* probe_err = field "pe" (monitor_opt Stats.Err_stats.of_raw) pe in
+      Some
+        {
+          sqnr_db;
+          total_bits;
+          overflow_count;
+          probe_err_max;
+          probe_values;
+          probe_err;
+          counters = None;
+        }
+  | _ -> None
+
 let total_bits env =
   List.fold_left
     (fun acc s ->
@@ -132,14 +212,15 @@ let cache_key ~design ~assigns ~probe ~seed ~cycles ~context =
     (fun i (name, dt) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "{\"signal\": %S, \"dtype\": %S}" name
-           (Fixpt.Dtype.to_string dt)))
+        (Printf.sprintf "{\"signal\": %s, \"dtype\": %s}"
+           (Trace.Json.string_lit name)
+           (Trace.Json.string_lit (Fixpt.Dtype.to_string dt))))
     assigns;
   Buffer.add_string b
     (Printf.sprintf "], \"probe\": %s, \"seed\": %d, \"cycles\": %d, \
-                     \"context\": %S}"
-       (match probe with Some p -> Printf.sprintf "%S" p | None -> "null")
-       seed cycles context);
+                     \"context\": %s}"
+       (match probe with Some p -> Trace.Json.string_lit p | None -> "null")
+       seed cycles (Trace.Json.string_lit context));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* The condition, besides [Compile.Cannot_compile], [Invalid_argument]

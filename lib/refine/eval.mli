@@ -21,6 +21,20 @@ type metrics = {
           with [~counters:true]; mergeable) *)
 }
 
+(** Serialize metrics bit-exactly: every float as a [%h] hex literal,
+    the probe monitors through {!Stats.Running.raw} /
+    {!Stats.Err_stats.raw}, as the labelled lines [fxmetrics 1],
+    [sqnr], [bits], [ovf], [errmax], [pv], [pe].  A decoded record is
+    bit-indistinguishable from the computed one, which keeps warm-cache
+    and resumed sweep reports byte-identical.  Raises
+    [Invalid_argument] on a counter-carrying record (counters are
+    per-run observations, not results). *)
+val encode_metrics : metrics -> string
+
+(** Strict inverse of {!encode_metrics}; [None] on any deviation (wrong
+    header, malformed field, wrong monitor arity). *)
+val decode_metrics : string -> metrics option
+
 (** Σ n over the environment's typed signals. *)
 val total_bits : Sim.Env.t -> int
 

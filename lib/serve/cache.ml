@@ -10,10 +10,9 @@
 
     {2 Disk layout}
 
-    When created with [?dir], every entry is one file
-    [<key>.entry] under that directory, written atomically
-    (temporary file + [fsync] + [rename]) with a self-describing
-    header:
+    When created with [?dir], every entry is one {!Durable} record
+    [<key>.entry] under that directory (temporary file + [fsync] +
+    [rename]), framed as
 
     {v fxcache2 <payload-bytes> <crc32-hex>\n<payload> v}
 
@@ -59,96 +58,7 @@ type t = {
 }
 
 let magic = "fxcache2"
-
-(* Keys become file names; anything outside the hex-digest alphabet
-   (plus a few safe extras) stays memory-only rather than risking path
-   tricks or unportable names. *)
-let key_is_file_safe k =
-  k <> ""
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
-         | _ -> false)
-       k
-  && k.[0] <> '.'
-
 let entry_path dir key = Filename.concat dir (key ^ ".entry")
-
-let render_entry payload =
-  Printf.sprintf "%s %d %s\n%s" magic (String.length payload)
-    (Crc32.to_hex (Crc32.digest payload))
-    payload
-
-(* [None] = corrupt (bad magic, unparsable length or checksum, a
-   payload whose byte count disagrees with the header, or a payload
-   whose CRC-32 does not match — bit-rot).  Pre-CRC [fxcache1] entries
-   fail the magic check and are invalidated the same way. *)
-let parse_entry raw =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some nl -> (
-      match String.split_on_char ' ' (String.sub raw 0 nl) with
-      | [ m; len; crc ] when String.equal m magic -> (
-          match (int_of_string_opt len, Crc32.of_hex crc) with
-          | Some n, Some sum when n >= 0 && String.length raw = nl + 1 + n ->
-              let payload = String.sub raw (nl + 1) n in
-              if Int32.equal (Crc32.digest payload) sum then Some payload
-              else None
-          | _ -> None)
-      | _ -> None)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Atomic durable publication: write the whole entry beside its final
-   name, fsync it, rename, then fsync the directory — a reader (or a
-   crash, even a power loss) sees the old entry or the new one, never
-   a prefix. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-(* A temp name unique to this write (pid, domain, counter) that still
-   ends in ".tmp": two writers of the same record never share a temp
-   file (with one shared name, the loser's rename found it gone), and
-   stale-temp cleanup still recognises it. *)
-let tmp_counter = Atomic.make 0
-
-let tmp_name path =
-  Printf.sprintf "%s.%d.%d.%d.tmp" path (Unix.getpid ())
-    (Domain.self () :> int)
-    (Atomic.fetch_and_add tmp_counter 1)
-
-let write_atomic path content =
-  let tmp = tmp_name path in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.unsafe_of_string content in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd b !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* Locked context assumed for everything below this point. *)
 
@@ -161,15 +71,12 @@ let evict_over_limit t =
         if Hashtbl.mem t.tbl victim then begin
           Hashtbl.remove t.tbl victim;
           t.evictions <- t.evictions + 1;
-          match t.dir with
-          | Some dir -> (
-              try Sys.remove (entry_path dir victim) with Sys_error _ -> ())
-          | None -> ()
+          Option.iter (fun dir -> Durable.remove (entry_path dir victim)) t.dir
         end
       done
 
 let remove_corrupt t path =
-  (try Sys.remove path with Sys_error _ -> ());
+  Durable.remove path;
   t.corrupt <- t.corrupt + 1
 
 (* Adopt an entry discovered on disk (load scan, or a miss that finds a
@@ -178,7 +85,7 @@ let adopt_from_disk t dir key =
   let path = entry_path dir key in
   if not (Sys.file_exists path) then None
   else
-    match parse_entry (read_file path) with
+    match Durable.read ~magic path with
     | Some payload ->
         if not (Hashtbl.mem t.tbl key) then begin
           Hashtbl.replace t.tbl key payload;
@@ -186,25 +93,14 @@ let adopt_from_disk t dir key =
           evict_over_limit t
         end;
         Some payload
-    | None | (exception Sys_error _) ->
+    | None ->
         remove_corrupt t path;
         None
 
 let load t dir =
-  let names =
-    match Sys.readdir dir with
-    | arr ->
-        Array.sort compare arr;
-        Array.to_list arr
-    | exception Sys_error _ -> []
-  in
   List.iter
-    (fun name ->
-      match Filename.chop_suffix_opt ~suffix:".entry" name with
-      | Some key when key_is_file_safe key ->
-          ignore (adopt_from_disk t dir key)
-      | _ -> ())
-    names
+    (fun (key, _) -> ignore (adopt_from_disk t dir key))
+    (Durable.scan ~suffix:".entry" dir)
 
 let create ?dir ?max_entries () =
   (match max_entries with
@@ -226,7 +122,7 @@ let create ?dir ?max_entries () =
   in
   (match dir with
   | Some d ->
-      mkdir_p d;
+      Durable.mkdir_p d;
       load t d
   | None -> ());
   t
@@ -244,7 +140,8 @@ let lookup t key =
       | None -> (
           let disk =
             match t.dir with
-            | Some dir when key_is_file_safe key -> adopt_from_disk t dir key
+            | Some dir when Durable.name_is_safe key ->
+                adopt_from_disk t dir key
             | _ -> None
           in
           match disk with
@@ -262,8 +159,8 @@ let insert t key payload =
         Queue.push key t.order;
         t.inserts <- t.inserts + 1;
         (match t.dir with
-        | Some dir when key_is_file_safe key -> (
-            try write_atomic (entry_path dir key) (render_entry payload)
+        | Some dir when Durable.name_is_safe key -> (
+            try Durable.write ~magic (entry_path dir key) payload
             with Sys_error _ | Unix.Unix_error _ -> ())
         | _ -> ());
         evict_over_limit t
@@ -295,27 +192,16 @@ let scrub t =
       match t.dir with
       | None -> { scanned = 0; ok = 0; healed = 0 }
       | Some dir ->
-          let names =
-            match Sys.readdir dir with
-            | arr ->
-                Array.sort compare arr;
-                Array.to_list arr
-            | exception Sys_error _ -> []
-          in
           List.fold_left
-            (fun acc name ->
-              match Filename.chop_suffix_opt ~suffix:".entry" name with
-              | None -> acc
-              | Some key -> (
-                  let path = Filename.concat dir name in
-                  match parse_entry (read_file path) with
-                  | Some _ -> { acc with scanned = acc.scanned + 1; ok = acc.ok + 1 }
-                  | None | (exception Sys_error _) ->
-                      remove_corrupt t path;
-                      Hashtbl.remove t.tbl key;
-                      { acc with scanned = acc.scanned + 1; healed = acc.healed + 1 }))
+            (fun acc (key, path) ->
+              match Durable.read ~magic path with
+              | Some _ -> { acc with scanned = acc.scanned + 1; ok = acc.ok + 1 }
+              | None ->
+                  remove_corrupt t path;
+                  Hashtbl.remove t.tbl key;
+                  { acc with scanned = acc.scanned + 1; healed = acc.healed + 1 })
             { scanned = 0; ok = 0; healed = 0 }
-            names)
+            (Durable.scan ~suffix:".entry" dir))
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -1,138 +1,17 @@
-(** Bit-exact wire format for cached evaluation results, and the glue
-    binding a {!Cache} into the evaluator's {!Refine.Eval.cache} hook.
+(** The glue binding a {!Cache} into the evaluator's
+    {!Refine.Eval.cache} hook.  The payload is
+    {!Refine.Eval.encode_metrics}' bit-exact record — the same bytes a
+    sweep wave journal embeds — so a warm re-sweep renders a report
+    byte-identical to the cold one; a payload that fails to decode is a
+    miss, which can cost performance, never correctness. *)
 
-    The determinism contract of the sweep engine extends to the cache:
-    a warm re-sweep must render a report {e byte-identical} to the cold
-    one, which means a decoded {!Refine.Eval.metrics} must be
-    indistinguishable from the freshly computed record — including the
-    probe monitors that later merge into the report aggregates.  Two
-    choices follow:
-
-    - every float travels as a [%h] hex literal ([0x1.999999999999ap-4]
-      style, with [nan]/[infinity] spelled out), which
-      [float_of_string] reverses exactly — no shortest-decimal
-      round-trip subtleties;
-    - the monitors serialize through {!Stats.Running.raw} /
-      {!Stats.Err_stats.raw} — the exact internal accumulator fields —
-      so merges over rebuilt values reproduce the cold fold bit for
-      bit.
-
-    The payload is a fixed sequence of labelled lines
-    ([fxmetrics 1] header, then [sqnr]/[bits]/[ovf]/[errmax]/[pv]/[pe]);
-    {!decode} is strict and returns [None] on any deviation, which the
-    cache layer treats as a miss — a stale or foreign payload can
-    degrade performance, never correctness. *)
-
-let version = 1
-
-(* Bump on ANY change to what an evaluation computes (or to this
-   format): the string is folded into every cache key, so old entries
+(* Bump on ANY change to what an evaluation computes (or to the metrics
+   encoding): the string is folded into every cache key, so old entries
    simply stop being addressable — invalidation without deletion. *)
 let evaluator_version = "fxeval/1"
 
-let flit = Printf.sprintf "%h"
-
-let floats_line = function
-  | None -> "none"
-  | Some a -> String.concat " " (Array.to_list (Array.map flit a))
-
-let encode (m : Refine.Eval.metrics) =
-  if m.Refine.Eval.counters <> None then
-    invalid_arg "Serve.Codec.encode: counter-carrying metrics are not cacheable";
-  String.concat "\n"
-    [
-      Printf.sprintf "fxmetrics %d" version;
-      (match m.Refine.Eval.sqnr_db with
-      | None -> "sqnr none"
-      | Some v -> "sqnr " ^ flit v);
-      Printf.sprintf "bits %d" m.Refine.Eval.total_bits;
-      Printf.sprintf "ovf %d" m.Refine.Eval.overflow_count;
-      "errmax " ^ flit m.Refine.Eval.probe_err_max;
-      "pv "
-      ^ floats_line (Option.map Stats.Running.raw m.Refine.Eval.probe_values);
-      "pe "
-      ^ floats_line (Option.map Stats.Err_stats.raw m.Refine.Eval.probe_err);
-    ]
-
-(* --- strict decoding ---------------------------------------------------- *)
-
-let ( let* ) = Option.bind
-
-let parse_floats s =
-  if String.equal s "none" then Some None
-  else
-    let parts = String.split_on_char ' ' s in
-    let rec go acc = function
-      | [] -> Some (Some (Array.of_list (List.rev acc)))
-      | p :: rest -> (
-          match float_of_string_opt p with
-          | Some v -> go (v :: acc) rest
-          | None -> None)
-    in
-    go [] parts
-
-let field ~label line =
-  let prefix = label ^ " " in
-  let pl = String.length prefix in
-  if String.length line > pl && String.equal (String.sub line 0 pl) prefix
-  then Some (String.sub line pl (String.length line - pl))
-  else None
-
-let decode s =
-  match String.split_on_char '\n' s with
-  | [ header; sqnr; bits; ovf; errmax; pv; pe ] ->
-      let* () =
-        if String.equal header (Printf.sprintf "fxmetrics %d" version) then
-          Some ()
-        else None
-      in
-      let* sqnr = field ~label:"sqnr" sqnr in
-      let* sqnr_db =
-        if String.equal sqnr "none" then Some None
-        else
-          match float_of_string_opt sqnr with
-          | Some v -> Some (Some v)
-          | None -> None
-      in
-      let* bits = field ~label:"bits" bits in
-      let* total_bits = int_of_string_opt bits in
-      let* ovf = field ~label:"ovf" ovf in
-      let* overflow_count = int_of_string_opt ovf in
-      let* errmax = field ~label:"errmax" errmax in
-      let* probe_err_max = float_of_string_opt errmax in
-      let* pv = field ~label:"pv" pv in
-      let* pv = parse_floats pv in
-      let* probe_values =
-        match pv with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Running.of_raw a with
-            | r -> Some (Some r)
-            | exception Invalid_argument _ -> None)
-      in
-      let* pe = field ~label:"pe" pe in
-      let* pe = parse_floats pe in
-      let* probe_err =
-        match pe with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Err_stats.of_raw a with
-            | e -> Some (Some e)
-            | exception Invalid_argument _ -> None)
-      in
-      Some
-        {
-          Refine.Eval.sqnr_db;
-          total_bits;
-          overflow_count;
-          probe_err_max;
-          probe_values;
-          probe_err;
-          counters = None;
-        }
-  | _ -> None
-
-(* --- binding into the evaluator hook ------------------------------------ *)
+let encode = Refine.Eval.encode_metrics
+let decode = Refine.Eval.decode_metrics
 
 let context ?plan () =
   match plan with

@@ -1,31 +1,20 @@
-(** Bit-exact payload codec for cached evaluation results, plus the
-    binding of a {!Cache} into the evaluator's {!Refine.Eval.cache}
-    hook.
+(** Cache payloads for evaluation results, plus the binding of a
+    {!Cache} into the evaluator's {!Refine.Eval.cache} hook.
 
-    Floats travel as exact [%h] hex literals and the probe monitors
-    through {!Stats.Running.raw} / {!Stats.Err_stats.raw}, so a decoded
-    record is bit-indistinguishable from the freshly computed one — the
-    property that keeps warm re-sweep reports byte-identical to cold
-    ones (the serve gate's contract). *)
-
-(** Payload format version (the [fxmetrics N] header). *)
-val version : int
+    The payload is {!Refine.Eval.encode_metrics}' bit-exact record, so
+    a decoded hit is bit-indistinguishable from the freshly computed
+    metrics — the property that keeps warm re-sweep reports
+    byte-identical to cold ones (the serve gate's contract). *)
 
 (** Version string folded into every cache key via {!context}.  Bump it
-    whenever evaluation semantics or this payload format change: old
+    whenever evaluation semantics or the metrics encoding change: old
     entries stop being addressable — invalidation without deletion. *)
 val evaluator_version : string
 
-(** Serialize metrics to the line-based payload.  Raises
-    [Invalid_argument] on a counter-carrying record (counters are
-    observational per-run state, not cacheable results; the compiled
-    evaluation path never produces them). *)
+(** {!Refine.Eval.encode_metrics}. *)
 val encode : Refine.Eval.metrics -> string
 
-(** Strictly parse an {!encode}d payload; [None] on any deviation
-    (wrong header, malformed field, wrong monitor arity).  The cache
-    layer treats [None] as a miss, so damaged or foreign payloads
-    degrade performance, never correctness. *)
+(** {!Refine.Eval.decode_metrics}: [None] (a miss) on any deviation. *)
 val decode : string -> Refine.Eval.metrics option
 
 (** The key context for an evaluation under [?plan] fault injection

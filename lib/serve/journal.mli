@@ -2,15 +2,22 @@
 
     Before a journaled job starts executing, the daemon records an
     {e intent} (the verbatim request line plus an attempt count) as
-    [job-<name>.intent], atomically and durably; the file is removed
+    [job-<name>.intent], a CRC-framed {!Durable} record written
+    atomically and durably; the file is removed
     when the job completes with a definite answer.  A daemon that was
     SIGKILLed therefore leaves one intent file per interrupted job, and
     the next daemon's recovery pass re-runs each (bumping [attempts],
     with capped exponential backoff) or — once the retry budget is
-    spent, or the record is unparsable — renames it to
+    spent, or the record is unparsable — moves it to
     [job-<name>.quarantined] with a [reason] line.  Every journaled job
     ends in exactly one of: completed, re-run, quarantined.  Never
-    silently forgotten. *)
+    silently forgotten.
+
+    The "never re-run blind" half of that contract rests on the CRC
+    frame: a truncated intent, one with a flipped byte (say a digit
+    of [f_max] inside the request line) or one in an older format
+    fails {!Durable.read} and is quarantined with its raw bytes — a
+    job nobody submitted is never executed. *)
 
 (** One journaled job: [name] keys the file, [attempts] counts
     executions admitted so far (including the interrupted ones),
@@ -43,9 +50,9 @@ val mark_done : t -> name:string -> unit
     [job-<name>.quarantined] and drop the intent. *)
 val quarantine : t -> entry -> reason:string -> unit
 
-(** Interrupted jobs, oldest first.  Unparsable intent files are
-    quarantined on the spot (raw bytes preserved) rather than re-run
-    blind or deleted. *)
+(** Interrupted jobs, oldest first.  Intent files that fail the frame
+    check or do not parse are quarantined on the spot (raw bytes
+    preserved) rather than re-run blind or deleted. *)
 val pending : t -> entry list
 
 (** Names of quarantined jobs. *)

@@ -1,187 +1,40 @@
 (** Line-delimited flat-JSON framing for the daemon protocol.
 
-    One message = one line = one flat JSON object (string / integer /
-    float / boolean / null values, no nesting).  Writer and parser are
-    hand-rolled like the rest of the repo's JSON surface (no JSON
-    dependency in the toolchain); the parser is strict — any deviation,
-    including trailing garbage, yields [None], which the daemon turns
-    into an error response rather than a guess.
+    One message = one line = one flat JSON object.  Writing and the
+    strict parse are {!Trace.Json}'s: any deviation, including trailing
+    garbage, yields [None], which the daemon turns into an error
+    response rather than a guess.  Strings are escaped JSON-conformantly
+    ({!Trace.Json.escape}), so a whole canonical sweep report (printable
+    ASCII + newlines) embeds as a single string field. *)
 
-    Strings are escaped JSON-conformantly (quote, backslash, newline,
-    carriage return, tab, backspace, form feed; [\uXXXX] for remaining
-    control bytes), so a whole canonical sweep report (printable ASCII
-    + newlines) embeds as a single string field. *)
-
-type value =
+type value = Trace.Json.value =
   | String of string
   | Int of int
   | Float of float
   | Bool of bool
   | Null
+  | Strings of string list
 
-(* --- rendering ---------------------------------------------------------- *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Trace.Json.escape
 
 let render_value = function
-  | String s -> Printf.sprintf "\"%s\"" (escape s)
+  | String s -> Trace.Json.string_lit s
   | Int i -> string_of_int i
   | Float f -> Trace.Json.float_lit f
-  | Bool b -> if b then "true" else "false"
+  | Bool b -> Trace.Json.bool_lit b
   | Null -> "null"
+  | Strings l ->
+      "[" ^ String.concat ", " (List.map Trace.Json.string_lit l) ^ "]"
 
 let to_line fields =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %s" (escape k) (render_value v)))
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  "{"
+  ^ String.concat ", "
+      (List.map
+         (fun (k, v) -> Trace.Json.string_lit k ^ ": " ^ render_value v)
+         fields)
+  ^ "}"
 
-(* --- parsing ------------------------------------------------------------ *)
-
-exception Bad
-
-let parse_exn line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance () else raise Bad
-  in
-  let hex4 () =
-    if !pos + 4 > n then raise Bad;
-    let s = String.sub line !pos 4 in
-    pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ s) with Some v -> v | None -> raise Bad
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      match peek () with
-      | None -> raise Bad
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'
-          | Some '\\' -> Buffer.add_char b '\\'
-          | Some '/' -> Buffer.add_char b '/'
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 'r' -> Buffer.add_char b '\r'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some 'b' -> Buffer.add_char b '\b'
-          | Some 'f' -> Buffer.add_char b '\012'
-          | Some 'u' ->
-              advance ();
-              let v = hex4 () in
-              (* flat ASCII protocol: reject code points that would
-                 need real UTF-8 encoding *)
-              if v > 0xff then raise Bad;
-              Buffer.add_char b (Char.chr v);
-              pos := !pos - 1 (* compensate the uniform advance below *)
-          | _ -> raise Bad);
-          advance ();
-          go ()
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char line.[!pos] do
-      advance ()
-    done;
-    let s = String.sub line start (!pos - start) in
-    let floaty = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s in
-    if floaty then
-      match float_of_string_opt s with Some f -> Float f | None -> raise Bad
-    else
-      match int_of_string_opt s with Some i -> Int i | None -> raise Bad
-  in
-  let parse_literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.equal (String.sub line !pos l) lit then begin
-      pos := !pos + l;
-      v
-    end
-    else raise Bad
-  in
-  let parse_value () =
-    match peek () with
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some 'n' -> parse_literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> raise Bad
-  in
-  skip_ws ();
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  (if peek () = Some '}' then advance ()
-   else
-     let rec members () =
-       skip_ws ();
-       let k = parse_string () in
-       skip_ws ();
-       expect ':';
-       skip_ws ();
-       let v = parse_value () in
-       fields := (k, v) :: !fields;
-       skip_ws ();
-       match peek () with
-       | Some ',' ->
-           advance ();
-           members ()
-       | Some '}' -> advance ()
-       | _ -> raise Bad
-     in
-     members ());
-  skip_ws ();
-  if !pos <> n then raise Bad;
-  List.rev !fields
-
-let of_line line = try Some (parse_exn line) with Bad -> None
+let of_line line = Result.to_option (Trace.Json.parse_object line)
 
 (* --- field accessors ---------------------------------------------------- *)
 

@@ -1,27 +1,26 @@
 (** Line-delimited flat-JSON framing for the daemon protocol: one
-    message = one line = one flat JSON object (no nesting).  Writer and
-    strict parser are hand-rolled, like the rest of the repo's JSON
-    surface — no external JSON dependency. *)
+    message = one line = one flat JSON object (no nesting beyond string
+    arrays).  Rendering and the strict parse are {!Trace.Json}'s — no
+    external JSON dependency. *)
 
-(** A flat field value. *)
-type value =
+(** A flat field value ({!Trace.Json.value}). *)
+type value = Trace.Json.value =
   | String of string
   | Int of int
   | Float of float
   | Bool of bool
   | Null
+  | Strings of string list
 
-(** JSON-escape a string body (quote, backslash, newline, carriage
-    return, tab, backspace, form feed; [\uXXXX] for remaining control
-    bytes) — no surrounding quotes. *)
+(** {!Trace.Json.escape}: a JSON string body, no surrounding quotes. *)
 val escape : string -> string
 
 (** Render an ordered field list as one single-line JSON object. *)
 val to_line : (string * value) list -> string
 
-(** Strictly parse one line back into its ordered field list; [None]
-    on any malformation, including trailing garbage or non-ASCII
-    [\uXXXX] escapes. *)
+(** Strictly parse one line back into its ordered field list
+    ({!Trace.Json.parse_object}); [None] on any malformation, including
+    trailing garbage or [\uXXXX] escapes above [0xff]. *)
 val of_line : string -> (string * value) list option
 
 (** First value under the key, if any. *)

@@ -147,8 +147,8 @@ let op_json (op : Node.op) =
   | Node.Delay init ->
       Printf.sprintf "{\"op\": \"delay\", \"init\": \"%s\"}" (hex_lit init)
   | Node.Quantize dt ->
-      Printf.sprintf "{\"op\": \"quantize\", \"dtype\": %S}"
-        (Fixpt.Dtype.to_string dt)
+      Printf.sprintf "{\"op\": \"quantize\", \"dtype\": %s}"
+        (Trace.Json.string_lit (Fixpt.Dtype.to_string dt))
   | Node.Saturate iv ->
       Printf.sprintf "{\"op\": \"saturate\", \"lo\": \"%s\", \"hi\": \"%s\"}"
         (hex_lit (Interval.lo iv))
@@ -163,15 +163,16 @@ let canonical_json t =
     (fun i (n : Node.t) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "{\"id\": %d, \"name\": %S, \"node\": %s, \"inputs\": [%s]}"
-           n.Node.id n.Node.name (op_json n.Node.op)
+        (Printf.sprintf "{\"id\": %d, \"name\": %s, \"node\": %s, \"inputs\": [%s]}"
+           n.Node.id (Trace.Json.string_lit n.Node.name) (op_json n.Node.op)
            (String.concat ", " (List.map string_of_int n.Node.inputs))))
     (nodes t);
   Buffer.add_string b "], \"outputs\": [";
   List.iteri
     (fun i (name, id) ->
       if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "{\"name\": %S, \"id\": %d}" name id))
+      Buffer.add_string b
+        (Printf.sprintf "{\"name\": %s, \"id\": %d}" (Trace.Json.string_lit name) id))
     (outputs t);
   Buffer.add_string b "]}";
   Buffer.contents b

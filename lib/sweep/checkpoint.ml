@@ -1,29 +1,23 @@
 (** Crash-safe wave journal for sweeps — see the .mli for the contract.
 
-    One file per completed wave, [wave-%06d.wv] under [dir/key/],
-    written atomically and durably (temp + [fsync] + rename + directory
-    [fsync]).  A record stores the wave's candidates and their outcomes
-    bit-exactly:
+    One file per completed wave, [wave-%06d.wv] under [dir/key/], each
+    a CRC-framed {!Durable} record (magic [fxwave2]) whose payload
+    stores the wave's candidates and their outcomes bit-exactly:
 
     {v
-    fxwave1 <wave> <n-candidates>
+    <wave> <n-candidates>
     c <id> <stim-seed> <uniform-f|-> <n-assigns>
     a <n> <f> <signal>            (n-assigns lines)
-    ok <sqnr|none> <bits> <ovf> <errmax>
-    pv <none | raw floats>
-    pe <none | raw floats>
+    ok <k>
+    <k lines: the Refine.Eval.encode_metrics record>
         -- or, for a quarantined candidate --
     err <attempts> "<escaped message>"
-    end
     v}
 
-    Every float is a [%h] hex literal ([float_of_string] reverses it
-    exactly) and the probe monitors travel through {!Stats.Running.raw}
-    / {!Stats.Err_stats.raw}, the exact accumulator fields — the same
-    technique {!Serve.Codec} uses (re-implemented here because [serve]
-    depends on [sweep], not the reverse).  Decoding is strict: any
-    deviation invalidates the whole wave file, which resume treats as
-    "not journaled" and simply re-evaluates — corruption can cost time,
+    The metrics lines are the same bit-exact record the evaluation
+    cache stores.  Decoding is strict: a frame or parse failure
+    invalidates the whole wave file, which resume treats as "not
+    journaled" and simply re-evaluates — corruption can cost time,
     never correctness. *)
 
 type outcome = (Candidate.t * (Refine.Eval.metrics, string * int) result) list
@@ -35,154 +29,60 @@ type t = {
   mutable replayed_candidates : int;
 }
 
-let magic = "fxwave1"
+let magic = "fxwave2"
 let dir t = t.dir
 let waves t = Hashtbl.length t.journaled
 let replayed t = (t.replayed_waves, t.replayed_candidates)
 
-let key_is_file_safe k =
-  k <> ""
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
-         | _ -> false)
-       k
-  && k.[0] <> '.'
-
 let sweep_key ~workload ~strategy ~context params =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"workload\":%S,\"strategy\":%S,\"context\":%S" workload
-       strategy context);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",%S:%S" k v))
-    params;
-  Buffer.add_char buf '}';
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* --- durable atomic writes --------------------------------------------- *)
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_dir d =
-  match Unix.openfile d [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
-(* A temp name unique to this write (pid, domain, counter) that still
-   ends in ".tmp": two writers of the same record never share a temp
-   file (with one shared name, the loser's rename found it gone), and
-   stale-temp cleanup still recognises it. *)
-let tmp_counter = Atomic.make 0
-
-let tmp_name path =
-  Printf.sprintf "%s.%d.%d.%d.tmp" path (Unix.getpid ())
-    (Domain.self () :> int)
-    (Atomic.fetch_and_add tmp_counter 1)
-
-let write_atomic path content =
-  let tmp = tmp_name path in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  let fields =
+    ("workload", workload) :: ("strategy", strategy) :: ("context", context)
+    :: params
   in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.unsafe_of_string content in
-      let n = Bytes.length b in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write fd b !written (n - !written)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
+  let lit = Trace.Json.string_lit in
+  let json =
+    "{"
+    ^ String.concat "," (List.map (fun (k, v) -> lit k ^ ":" ^ lit v) fields)
+    ^ "}"
+  in
+  Digest.to_hex (Digest.string json)
 
-let wave_file wave = Printf.sprintf "wave-%06d.wv" wave
-let wave_path t wave = Filename.concat t.dir (wave_file wave)
+let wave_path t wave =
+  Filename.concat t.dir (Printf.sprintf "wave-%06d.wv" wave)
 
 (* --- encoding ----------------------------------------------------------- *)
 
-let flit = Printf.sprintf "%h"
-
-let floats_line = function
-  | None -> "none"
-  | Some a -> String.concat " " (Array.to_list (Array.map flit a))
-
 let render_candidate buf (c : Candidate.t) =
-  Buffer.add_string buf
-    (Printf.sprintf "c %d %d %s %d\n" c.Candidate.id c.Candidate.stim_seed
-       (match c.Candidate.uniform_f with
-       | Some f -> string_of_int f
-       | None -> "-")
-       (List.length c.Candidate.assigns));
+  Printf.bprintf buf "c %d %d %s %d\n" c.Candidate.id c.Candidate.stim_seed
+    (match c.Candidate.uniform_f with
+    | Some f -> string_of_int f
+    | None -> "-")
+    (List.length c.Candidate.assigns);
   List.iter
     (fun (a : Candidate.assign) ->
-      Buffer.add_string buf (Printf.sprintf "a %d %d %s\n" a.n a.f a.signal))
+      Printf.bprintf buf "a %d %d %s\n" a.n a.f a.signal)
     c.Candidate.assigns
 
-let render_metrics buf (m : Refine.Eval.metrics) =
-  if m.Refine.Eval.counters <> None then
-    invalid_arg
-      "Sweep.Checkpoint: counter-carrying metrics are not journalable";
-  Buffer.add_string buf
-    (Printf.sprintf "ok %s %d %d %s\n"
-       (match m.Refine.Eval.sqnr_db with None -> "none" | Some v -> flit v)
-       m.Refine.Eval.total_bits m.Refine.Eval.overflow_count
-       (flit m.Refine.Eval.probe_err_max));
-  Buffer.add_string buf
-    ("pv "
-    ^ floats_line (Option.map Stats.Running.raw m.Refine.Eval.probe_values)
-    ^ "\n");
-  Buffer.add_string buf
-    ("pe "
-    ^ floats_line (Option.map Stats.Err_stats.raw m.Refine.Eval.probe_err)
-    ^ "\n")
+let line_count s =
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 s
 
 let render ~wave (outcomes : outcome) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n" magic wave (List.length outcomes));
+  Printf.bprintf buf "%d %d\n" wave (List.length outcomes);
   List.iter
     (fun (c, r) ->
       render_candidate buf c;
       match r with
-      | Ok m -> render_metrics buf m
-      | Error (msg, attempts) ->
-          Buffer.add_string buf (Printf.sprintf "err %d %S\n" attempts msg))
+      | Ok m ->
+          let payload = Refine.Eval.encode_metrics m in
+          Printf.bprintf buf "ok %d\n%s\n" (line_count payload) payload
+      | Error (msg, attempts) -> Printf.bprintf buf "err %d %S\n" attempts msg)
     outcomes;
-  Buffer.add_string buf "end\n";
   Buffer.contents buf
 
 (* --- strict decoding ---------------------------------------------------- *)
 
 let ( let* ) = Option.bind
-
-let parse_floats s =
-  if String.equal s "none" then Some None
-  else
-    let rec go acc = function
-      | [] -> Some (Some (Array.of_list (List.rev acc)))
-      | p :: rest -> (
-          match float_of_string_opt p with
-          | Some v -> go (v :: acc) rest
-          | None -> None)
-    in
-    go [] (String.split_on_char ' ' s)
-
-let field ~label line =
-  let prefix = label ^ " " in
-  let pl = String.length prefix in
-  if String.length line > pl && String.equal (String.sub line 0 pl) prefix
-  then Some (String.sub line pl (String.length line - pl))
-  else None
 
 let parse_assign line =
   match String.split_on_char ' ' line with
@@ -194,8 +94,19 @@ let parse_assign line =
       Some { Candidate.signal = String.concat " " rest; n; f }
   | _ -> None
 
-let parse_candidate lines =
-  match lines with
+(* [take n parse lines] — the first [n] lines, each through [parse],
+   and the remaining lines. *)
+let rec take n parse lines =
+  if n = 0 then Some ([], lines)
+  else
+    match lines with
+    | [] -> None
+    | l :: lines ->
+        let* x = parse l in
+        let* xs, lines = take (n - 1) parse lines in
+        Some (x :: xs, lines)
+
+let parse_candidate = function
   | head :: rest -> (
       match String.split_on_char ' ' head with
       | [ "c"; id; seed; uf; k ] ->
@@ -203,167 +114,76 @@ let parse_candidate lines =
           let* stim_seed = int_of_string_opt seed in
           let* uniform_f =
             if String.equal uf "-" then Some None
-            else
-              match int_of_string_opt uf with
-              | Some f -> Some (Some f)
-              | None -> None
+            else Option.map Option.some (int_of_string_opt uf)
           in
           let* k = int_of_string_opt k in
           let* () = if k >= 0 then Some () else None in
-          let rec take acc n ls =
-            if n = 0 then Some (List.rev acc, ls)
-            else
-              match ls with
-              | [] -> None
-              | l :: ls ->
-                  let* a = parse_assign l in
-                  take (a :: acc) (n - 1) ls
-          in
-          let* assigns, rest = take [] k rest in
+          let* assigns, rest = take k parse_assign rest in
           Some ({ Candidate.id; assigns; stim_seed; uniform_f }, rest)
       | _ -> None)
   | [] -> None
 
-let parse_metrics lines =
-  match lines with
-  | ok :: pv :: pe :: rest ->
-      let* body = field ~label:"ok" ok in
-      let* sqnr_db, total_bits, overflow_count, probe_err_max =
-        match String.split_on_char ' ' body with
-        | [ sqnr; bits; ovf; errmax ] ->
-            let* sqnr_db =
-              if String.equal sqnr "none" then Some None
-              else
-                match float_of_string_opt sqnr with
-                | Some v -> Some (Some v)
-                | None -> None
-            in
-            let* bits = int_of_string_opt bits in
-            let* ovf = int_of_string_opt ovf in
-            let* errmax = float_of_string_opt errmax in
-            Some (sqnr_db, bits, ovf, errmax)
-        | _ -> None
-      in
-      let* pv = field ~label:"pv" pv in
-      let* pv = parse_floats pv in
-      let* probe_values =
-        match pv with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Running.of_raw a with
-            | r -> Some (Some r)
-            | exception Invalid_argument _ -> None)
-      in
-      let* pe = field ~label:"pe" pe in
-      let* pe = parse_floats pe in
-      let* probe_err =
-        match pe with
-        | None -> Some None
-        | Some a -> (
-            match Stats.Err_stats.of_raw a with
-            | e -> Some (Some e)
-            | exception Invalid_argument _ -> None)
-      in
-      Some
-        ( {
-            Refine.Eval.sqnr_db;
-            total_bits;
-            overflow_count;
-            probe_err_max;
-            probe_values;
-            probe_err;
-            counters = None;
-          },
-          rest )
-  | _ -> None
+let parse_result = function
+  | l :: rest -> (
+      match String.split_on_char ' ' l with
+      | [ "ok"; k ] ->
+          let* k = int_of_string_opt k in
+          let* lines, rest = take k Option.some rest in
+          let* m = Refine.Eval.decode_metrics (String.concat "\n" lines) in
+          Some (Ok m, rest)
+      | _ -> (
+          match Scanf.sscanf l "err %d %S%!" (fun a msg -> (msg, a)) with
+          | e -> Some (Error e, rest)
+          | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None))
+  | [] -> None
 
-let parse_error line =
-  match
-    Scanf.sscanf line "err %d %S%!" (fun attempts msg -> (msg, attempts))
-  with
-  | r -> Some r
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
-
-(* Whole-file parse; [None] on any deviation (missing [end] marker,
-   trailing garbage, count mismatch, unparsable line). *)
-let parse_record raw =
-  let lines = String.split_on_char '\n' raw in
-  match lines with
-  | header :: rest -> (
+(* Whole-payload parse; [None] on any deviation (trailing garbage,
+   count mismatch, unparsable line). *)
+let parse_record payload =
+  match String.split_on_char '\n' payload with
+  | header :: rest ->
       let* wave, count =
         match String.split_on_char ' ' header with
-        | [ m; wave; count ] when String.equal m magic ->
+        | [ wave; count ] ->
             let* wave = int_of_string_opt wave in
             let* count = int_of_string_opt count in
             if wave >= 1 && count >= 0 then Some (wave, count) else None
         | _ -> None
       in
-      let rec go acc n lines =
-        if n = 0 then
-          match lines with
-          | [ "end"; "" ] -> Some (List.rev acc)
-          | _ -> None
+      let rec go n lines =
+        if n = 0 then if lines = [ "" ] then Some [] else None
         else
           let* c, lines = parse_candidate lines in
-          match lines with
-          | l :: more when String.length l >= 3 && String.sub l 0 3 = "err"
-            ->
-              let* msg, attempts = parse_error l in
-              go ((c, Error (msg, attempts)) :: acc) (n - 1) more
-          | lines ->
-              let* m, lines = parse_metrics lines in
-              go ((c, Ok m) :: acc) (n - 1) lines
+          let* r, lines = parse_result lines in
+          let* os = go (n - 1) lines in
+          Some ((c, r) :: os)
       in
-      match go [] count rest with
-      | Some outcomes -> Some (wave, outcomes)
-      | None -> None)
+      let* outcomes = go count rest in
+      Some (wave, outcomes)
   | [] -> None
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let is_wave_file name =
-  String.length name > 5
-  && String.sub name 0 5 = "wave-"
-  && Filename.check_suffix name ".wv"
-
 let load t =
-  let names =
-    match Sys.readdir t.dir with
-    | arr ->
-        Array.sort compare arr;
-        Array.to_list arr
-    | exception Sys_error _ -> []
-  in
   List.iter
-    (fun name ->
-      if is_wave_file name then
-        match parse_record (read_file (Filename.concat t.dir name)) with
-        | Some (wave, outcomes) -> Hashtbl.replace t.journaled wave outcomes
-        | None | (exception Sys_error _) -> ())
-    names
+    (fun (_, path) ->
+      match Option.bind (Durable.read ~magic path) parse_record with
+      | Some (wave, outcomes) -> Hashtbl.replace t.journaled wave outcomes
+      | None -> ())
+    (Durable.scan ~prefix:"wave-" ~suffix:".wv" t.dir)
 
 let clear_journal dir =
-  (match Sys.readdir dir with
-  | names ->
-      Array.iter
-        (fun name ->
-          if is_wave_file name || Filename.check_suffix name ".tmp" then
-            try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        names
-  | exception Sys_error _ -> ());
-  fsync_dir dir
+  List.iter
+    (fun (_, path) -> Durable.remove path)
+    (Durable.scan ~prefix:"wave-" ~suffix:".wv" dir
+    @ Durable.scan ~suffix:".tmp" dir);
+  Durable.fsync_dir dir
 
 let create ?(resume = false) ~dir ~key () =
-  if not (key_is_file_safe key) then
+  if not (Durable.name_is_safe key) then
     invalid_arg "Sweep.Checkpoint.create: key is not a safe file name";
   let sub = Filename.concat dir key in
-  mkdir_p sub;
+  Durable.mkdir_p sub;
   let t =
     {
       dir = sub;
@@ -390,5 +210,5 @@ let lookup t ~wave candidates =
   | Some _ | None -> None
 
 let record t ~wave (outcomes : outcome) =
-  write_atomic (wave_path t wave) (render ~wave outcomes);
+  Durable.write ~magic (wave_path t wave) (render ~wave outcomes);
   Hashtbl.replace t.journaled wave outcomes

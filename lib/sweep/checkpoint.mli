@@ -1,26 +1,30 @@
 (** Crash-safe wave journal — checkpoint/resume for {!Pool} sweeps.
 
     A checkpoint records every {e completed} wave of a sweep to its own
-    file under [dir/key/], written atomically and durably (temp file +
-    [fsync] + rename + directory [fsync]) so a [SIGKILL] — or a power
-    cut — at any instant leaves either the old journal or the new one,
-    never a torn record.  On resume, {!Pool.run} asks {!lookup} before
-    evaluating each wave: a journaled wave whose candidate list matches
-    exactly is replayed (its metrics decode bit-identically, via the
-    same [%h] + {!Stats.Running.raw} technique as {!Serve.Codec}), so
-    the generator's decisions — and therefore the final report — are
-    byte-identical to an uninterrupted run at any [jobs].  The chaos
-    gate ({!Oracle.Chaos_check}) SIGKILLs real sweeps mid-wave to
-    enforce this.
+    file under [dir/key/], a CRC-framed {!Durable} record written
+    atomically and durably (temp file + [fsync] + rename + directory
+    [fsync]) so a [SIGKILL] — or a power cut — at any instant leaves
+    either the old journal or the new one, never a torn record.  On
+    resume, {!Pool.run} asks {!lookup} before evaluating each wave: a
+    journaled wave whose candidate list matches exactly is replayed
+    (its metrics decode bit-identically through
+    {!Refine.Eval.decode_metrics}, the record the evaluation cache
+    stores too), so the generator's decisions — and therefore the final
+    report — are byte-identical to an uninterrupted run at any [jobs].
+    The chaos gate ({!Oracle.Chaos_check}) SIGKILLs real sweeps
+    mid-wave, and corrupts journaled waves, to enforce this.
 
     Quarantined candidates journal too (printed error + attempt count),
     so a resumed partial report keeps its failure list intact.
 
-    Decoding is strict: a damaged or truncated wave file is treated as
-    "not journaled" and the wave is simply re-evaluated — corruption
-    costs time, never correctness.  Candidate mismatch (the sweep was
-    restarted with different parameters under the same key, or the
-    journal belongs to an older generator) is likewise a clean miss. *)
+    "Corruption costs time, never correctness" rests on the CRC frame:
+    a truncated wave file, one in an older format, or one with any
+    flipped byte — even a same-length flip that turns one valid [%h]
+    float literal into another — fails {!Durable.read}, is treated as
+    "not journaled", and the wave is simply re-evaluated.  Candidate
+    mismatch (the sweep was restarted with different parameters under
+    the same key, or the journal belongs to an older generator) is
+    likewise a clean miss. *)
 
 (** One wave's worth of evaluated candidates, exactly as {!Pool}
     produced them: [Ok metrics], or [Error (printed_exception,

@@ -32,7 +32,9 @@
 #      a deliberately corrupted cache), and the bench regression
 #      guard (wall-clock, so deliberately NOT part of `dune
 #      runtest`);
-#   5. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
+#   5. a duplication guard: the atomic durable write (fsync + rename)
+#      lives only in lib/durable/, so no store grows its own copy again;
+#   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
 #      documentation cannot rot.
@@ -84,5 +86,11 @@ with_timeout 900 dune exec bin/fxrefine.exe -- check --sync
 # Hard timeout: the chaos gate SIGKILLs its own children, but a hung
 # resume or a daemon that never drains must fail the check, not hang it.
 with_timeout 900 dune exec bin/fxrefine.exe -- check --chaos --no-bench --per-combo 1
+# One durable-write implementation: every store goes through Durable.
+if grep -rnE 'Unix\.fsync|Sys\.rename' lib bin --include='*.ml' --include='*.mli' \
+  | grep -v '^lib/durable/'; then
+  echo "check.sh: Unix.fsync/Sys.rename outside lib/durable/ (write through Durable.write)" >&2
+  exit 1
+fi
 with_timeout 60 sh scripts/check_links.sh
 with_timeout 600 sh scripts/check_tutorial.sh

@@ -38,6 +38,7 @@ let () =
       Test_fault.suite;
       Test_compile.suite;
       Test_verify.suite;
+      Test_durable.suite;
       Test_serve.suite;
       Test_synchronizer.suite;
     ]

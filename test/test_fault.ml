@@ -79,7 +79,8 @@ let test_plan_json_roundtrip () =
     Fault.Plan.make ~seed:99 ~nan_rate:0.01 ~inf_rate:0.02 ~denormal_rate:0.03
       ~extreme_rate:0.04 ~extreme_mag:1e6 ~bitflip_rate:0.05
       ~force_overflow_rate:0.06 ~starve_after:100
-      ~targets:[ "x"; "v[3]" ] ~on_overflow:Fault.Plan.Force_collect ()
+      ~targets:[ "x"; "v[3]"; "caf\xc3\xa9"; "a\001b" ]
+      ~on_overflow:Fault.Plan.Force_collect ()
   in
   match Fault.Plan.of_json (Fault.Plan.to_json p) with
   | Ok p' -> check bool_t "round-trips structurally" true (p' = p)
@@ -95,15 +96,20 @@ let test_plan_json_errors () =
   check bool_t "empty object is the default plan" true
     (Fault.Plan.of_json "{}" = Ok (Fault.Plan.make ()))
 
+(* Targets are arbitrary byte strings — control bytes, quotes,
+   backslashes, bytes >= 0x80 (e.g. "café" in UTF-8) — so the JSON
+   escaper and the reader must agree on every byte. *)
 let prop_plan_json_roundtrip =
   QCheck2.Test.make ~name:"plan JSON round-trips for any rates" ~count:200
     QCheck2.Gen.(
-      quad (int_range 0 10000) (float_range 0.0 1.0) (float_range 0.0 1.0)
-        (float_range 1.0 1e20))
-    (fun (seed, r1, r2, mag) ->
+      pair
+        (quad (int_range 0 10000) (float_range 0.0 1.0) (float_range 0.0 1.0)
+           (float_range 1.0 1e20))
+        (list_size (int_range 0 3) (string_size (int_range 0 8))))
+    (fun ((seed, r1, r2, mag), targets) ->
       let p =
         Fault.Plan.make ~seed ~nan_rate:r1 ~bitflip_rate:r2 ~extreme_mag:mag
-          ~on_overflow:Fault.Plan.Force_raise ()
+          ~targets ~on_overflow:Fault.Plan.Force_raise ()
       in
       Fault.Plan.of_json (Fault.Plan.to_json p) = Ok p)
 

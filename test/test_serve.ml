@@ -289,67 +289,6 @@ let test_cache_scrub () =
   check bool_t "clean entry untouched" true
     (Serve.Cache.lookup c "keep" = Some "good")
 
-(* Fuzz the torn-write/bit-rot surface: truncate, flip or extend an
-   entry file at a random offset — every subsequent lookup must be a
-   clean miss (never a crash, never damaged data served), the file
-   must be gone, and the damage must be counted. *)
-let prop_torn_entry_clean_miss =
-  let root = scratch () in
-  let ctr = ref 0 in
-  QCheck2.Test.make
-    ~name:"torn/corrupted cache entries always heal as clean misses"
-    ~count:150
-    QCheck2.Gen.(
-      triple
-        (string_size (int_range 0 64))
-        (int_range 0 2)
-        (pair nat (int_range 1 255)))
-    (fun (payload, mode, (off, x)) ->
-      incr ctr;
-      let dir = Filename.concat root (string_of_int !ctr) in
-      let c1 = Serve.Cache.create ~dir () in
-      Serve.Cache.insert c1 "fuzz" payload;
-      let path = Filename.concat dir "fuzz.entry" in
-      let raw =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let len = String.length raw in
-      let damaged =
-        match mode with
-        | 0 -> String.sub raw 0 (off mod len) (* truncate: strictly shorter *)
-        | 1 ->
-            (* same-length byte flip at a random offset; x <> 0 *)
-            let b = Bytes.of_string raw in
-            let i = off mod len in
-            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
-            Bytes.to_string b
-        | _ -> raw ^ String.make (1 + (off mod 7)) 'Z' (* trailing garbage *)
-      in
-      let oc = open_out_bin path in
-      output_string oc damaged;
-      close_out oc;
-      let c2 = Serve.Cache.create ~dir () in
-      Serve.Cache.lookup c2 "fuzz" = None
-      && (not (Sys.file_exists path))
-      && (Serve.Cache.stats c2).Serve.Cache.corrupt = 1)
-
-(* The CRC-32 itself: the classic IEEE 802.3 check vector, and strict
-   hex parsing. *)
-let test_crc32_vector () =
-  check string_t "crc32(\"123456789\")" "cbf43926"
-    (Serve.Crc32.to_hex (Serve.Crc32.digest "123456789"));
-  check bool_t "of_hex round-trips" true
-    (Serve.Crc32.of_hex "cbf43926"
-    = Some (Serve.Crc32.digest "123456789"));
-  check bool_t "of_hex rejects short" true (Serve.Crc32.of_hex "cbf4392" = None);
-  check bool_t "of_hex rejects uppercase" true
-    (Serve.Crc32.of_hex "CBF43926" = None);
-  check bool_t "of_hex rejects non-hex" true
-    (Serve.Crc32.of_hex "cbf4392g" = None)
-
 (* --- job journal ---------------------------------------------------------- *)
 
 let test_journal_lifecycle () =
@@ -389,6 +328,57 @@ let test_journal_lifecycle () =
     (List.length (Serve.Journal.pending j));
   check bool_t "garbage intent quarantined" true
     (List.mem "zz" (Serve.Journal.quarantined j))
+
+(* A same-length digit flip inside an intent's request line still
+   parses as a valid request — one nobody submitted.  The record's CRC
+   must send it to quarantine, never to the re-run list. *)
+let test_journal_flipped_intent_quarantined () =
+  let dir = scratch () in
+  let j = Serve.Journal.create ~dir in
+  let name = Serve.Journal.fresh_name j in
+  let line =
+    Serve.Protocol.request_to_line
+      (Serve.Protocol.Sweep
+         {
+           id = "flip";
+           params =
+             {
+               Serve.Protocol.workload = "fir";
+               strategy = "grid";
+               f_min = 4;
+               f_max = 7;
+               seeds = 1;
+               jobs = 1;
+               budget = None;
+               target_db = 40.0;
+               timeout_s = None;
+             };
+         })
+  in
+  Serve.Journal.record_intent j { Serve.Journal.name; attempts = 1; line };
+  let path = Filename.concat dir ("job-" ^ name ^ ".intent") in
+  let raw =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let needle = "\"f_max\": 7" in
+  let rec find i =
+    if i + String.length needle > String.length raw then
+      Alcotest.fail "f_max not found in the intent record"
+    else if String.sub raw i (String.length needle) = needle then i
+    else find (i + 1)
+  in
+  let b = Bytes.of_string raw in
+  Bytes.set b (find 0 + String.length needle - 1) '9';
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc;
+  check int_t "flipped intent is not pending" 0
+    (List.length (Serve.Journal.pending j));
+  check bool_t "flipped intent quarantined" true
+    (List.mem name (Serve.Journal.quarantined j))
 
 (* --- connect_retry failure taxonomy --------------------------------------- *)
 
@@ -578,9 +568,9 @@ let suite =
       Alcotest.test_case "cache CRC heal on read" `Quick
         test_cache_crc_heal_on_read;
       Alcotest.test_case "cache scrub" `Quick test_cache_scrub;
-      Test_support.Qseed.to_alcotest prop_torn_entry_clean_miss;
-      Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
       Alcotest.test_case "journal lifecycle" `Quick test_journal_lifecycle;
+      Alcotest.test_case "journal flipped intent quarantined" `Quick
+        test_journal_flipped_intent_quarantined;
       Alcotest.test_case "connect_retry failures" `Quick
         test_connect_retry_failures;
       Alcotest.test_case "cold/warm byte equality" `Quick

@@ -332,6 +332,50 @@ let test_checkpoint_corrupt_wave_reevaluated () =
     (ckpt_sweep ~counter:n ~checkpoint:cp2 ());
   check bool_t "damage cost time, not correctness" true (!n >= 2)
 
+(* A same-length flip inside a float literal turns one valid [%h]
+   literal into another (here an exponent digit of the first journaled
+   metrics: p+4 becomes p+0, say): strict parsing alone accepts it, so
+   only the record's CRC can tell.  Resume must re-evaluate that wave
+   and render the reference bytes. *)
+let test_checkpoint_float_flip_reevaluated () =
+  let dir = scratch () in
+  let reference = ckpt_sweep () in
+  let cp1 = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
+  ignore (ckpt_sweep ~checkpoint:cp1 ());
+  let total = Sweep.Checkpoint.waves cp1 in
+  let path =
+    match wave_files cp1 with
+    | first :: _ -> Filename.concat (Sweep.Checkpoint.dir cp1) first
+    | [] -> Alcotest.fail "no wave files journaled"
+  in
+  let raw =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let b = Bytes.of_string raw in
+  (* the first hex-float exponent digit: "p+<d>" or "p-<d>" *)
+  let rec exponent i =
+    if i + 2 >= Bytes.length b then Alcotest.fail "no %h literal in the record"
+    else
+      match (Bytes.get b i, Bytes.get b (i + 1), Bytes.get b (i + 2)) with
+      | 'p', ('+' | '-'), ('0' .. '9' as d) -> (i + 2, d)
+      | _ -> exponent (i + 1)
+  in
+  let off, d = exponent 0 in
+  Bytes.set b off (if d = '9' then '3' else '9');
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc;
+  let n = ref 0 in
+  let cp2 = Sweep.Checkpoint.create ~resume:true ~dir ~key:ckpt_key () in
+  check string_t "flipped float re-evaluated, bytes identical" reference
+    (ckpt_sweep ~counter:n ~checkpoint:cp2 ());
+  check int_t "exactly the flipped wave re-evaluated" 2 !n;
+  check int_t "every other wave replayed" (total - 1)
+    (fst (Sweep.Checkpoint.replayed cp2))
+
 let test_checkpoint_rejects_counters () =
   let dir = scratch () in
   let workload = Sweep.Workload.fir ~n:64 () in
@@ -414,6 +458,8 @@ let suite =
         test_checkpoint_partial_resume;
       Alcotest.test_case "checkpoint corrupt wave" `Quick
         test_checkpoint_corrupt_wave_reevaluated;
+      Alcotest.test_case "checkpoint float flip" `Quick
+        test_checkpoint_float_flip_reevaluated;
       Alcotest.test_case "checkpoint rejects counters" `Quick
         test_checkpoint_rejects_counters;
       Alcotest.test_case "checkpoint concurrent record" `Quick
