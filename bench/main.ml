@@ -13,6 +13,23 @@
 
 open Fixrefine
 
+(* The experiments' designs: the registry scenarios, recording their
+   output channel for SER scoring. *)
+let equalizer ?n_symbols ?steered ?noise_sigma () =
+  Scenario.lms ?n_symbols ?steered ?noise_sigma ~record:true ()
+
+let timing ?n_symbols ?noise_sigma ?knowledge_ranges ?input_bits ?kp ?ki () =
+  Scenario.timing ?n_symbols ?noise_sigma ?knowledge_ranges ?input_bits ?kp
+    ?ki ~record:true ()
+
+(* the loop-free FIR at quickstart scale, on the ISI channel *)
+let fir ?(n = 3000) () =
+  (Scenario.fir ~n ~source:Scenario.Channel ~typed_input:true ()).Scenario.design
+
+let ser ?(skip = 300) (sc : _ Scenario.t) =
+  let decided = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
+  Dsp.Pam.best_ser ~skip ~sent:(sc.Scenario.sent ()) ~decided ()
+
 let section title =
   Format.printf "@.==================== %s ====================@." title
 
@@ -22,18 +39,18 @@ let section title =
 
 let table1 () =
   section "Table 1: MSB analysis (LMS equalizer)";
-  let s = Scenarios.equalizer () in
+  let s = equalizer () in
   (* iteration 1: raw monitored run, feedback explosion visible *)
-  s.Scenarios.design.Refine.Flow.reset ();
-  s.Scenarios.design.Refine.Flow.run ();
+  s.Scenario.design.Refine.Flow.reset ();
+  s.Scenario.design.Refine.Flow.run ();
   Format.printf "--- 1st iteration ---@.";
-  Refine.Report.print_msb s.Scenarios.design.Refine.Flow.env;
+  Refine.Report.print_msb s.Scenario.design.Refine.Flow.env;
   Format.printf "exploded: %s@."
     (String.concat ", "
        (List.map Sim.Signal.name
-          (Refine.Msb_rules.exploded_signals s.Scenarios.design.Refine.Flow.env)));
+          (Refine.Msb_rules.exploded_signals s.Scenario.design.Refine.Flow.env)));
   (* let the flow run iteration 2 (annotation + re-run) *)
-  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenarios.design in
+  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenario.design in
   Format.printf "@.--- 2nd iteration (after %s) ---@."
     (String.concat "; "
        (List.concat_map
@@ -42,7 +59,7 @@ let table1 () =
               (Format.asprintf "%a" Refine.Flow.pp_action)
               it.Refine.Flow.actions)
           result.Refine.Flow.iterations));
-  Refine.Report.print_msb s.Scenarios.design.Refine.Flow.env;
+  Refine.Report.print_msb s.Scenario.design.Refine.Flow.env;
   Format.printf "paper: b, w explode in iteration 1; b.range() resolves both in iteration 2@.";
   Format.printf "measured: MSB converged after %d iterations@."
     result.Refine.Flow.msb_iterations
@@ -53,9 +70,9 @@ let table1 () =
 
 let table2 () =
   section "Table 2: LSB analysis (LMS equalizer, input <7,5,tc>)";
-  let s = Scenarios.equalizer () in
-  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenarios.design in
-  Refine.Report.print_lsb s.Scenarios.design.Refine.Flow.env;
+  let s = equalizer () in
+  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenario.design in
+  Refine.Report.print_lsb s.Scenario.design.Refine.Flow.env;
   Format.printf "@.paper: one iteration resolves every LSB (input quantized only)@.";
   Format.printf "measured: LSB resolved in %d iteration(s)@."
     result.Refine.Flow.lsb_iterations;
@@ -70,8 +87,8 @@ let table2 () =
 
 let sqnr () =
   section "SQNR before/after LSB refinement (paper: 39.8 dB -> 39.1 dB)";
-  let s = Scenarios.equalizer () in
-  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenarios.design in
+  let s = equalizer () in
+  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenario.design in
   (match
      (result.Refine.Flow.sqnr_before_db, result.Refine.Flow.sqnr_after_db)
    with
@@ -82,7 +99,7 @@ let sqnr () =
       Format.printf "degradation: %.1f dB (paper: 0.7 dB)@." (b -. a)
   | _ -> Format.printf "SQNR unavailable@.");
   Format.printf "post-refinement symbol error rate: %.4f@."
-    (Scenarios.ser ~sent:s.Scenarios.sent s.Scenarios.output)
+    (ser s)
 
 (* ======================================================================= *)
 (* Fig. 1 — the equalizer processor works                                  *)
@@ -90,16 +107,16 @@ let sqnr () =
 
 let fig1 () =
   section "Fig. 1: LMS equalizer behavioural run";
-  let s = Scenarios.equalizer () in
-  s.Scenarios.design.Refine.Flow.reset ();
-  s.Scenarios.design.Refine.Flow.run ();
-  let env = s.Scenarios.design.Refine.Flow.env in
+  let s = equalizer () in
+  s.Scenario.design.Refine.Flow.reset ();
+  s.Scenario.design.Refine.Flow.run ();
+  let env = s.Scenario.design.Refine.Flow.env in
   Format.printf "signals: %d, cycles: 4000@."
     (List.length (Sim.Env.signals env));
   Format.printf "adapted feedback coefficient b = %.4f@."
-    (Sim.Signal.peek_fx (Dsp.Lms_equalizer.b s.Scenarios.eq));
+    (Sim.Signal.peek_fx (Dsp.Lms_equalizer.b s.Scenario.block));
   Format.printf "floating-point SER: %.4f@."
-    (Scenarios.ser ~sent:s.Scenarios.sent s.Scenarios.output)
+    (ser s)
 
 (* ======================================================================= *)
 (* Fig. 2 — operator overloading: three computations per operation         *)
@@ -180,15 +197,15 @@ let fig3 () =
 
 let fig4 () =
   section "Fig. 4: design-flow iteration log (equalizer)";
-  let s = Scenarios.equalizer () in
-  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenarios.design in
+  let s = equalizer () in
+  let result = Refine.Flow.refine ~sqnr_signal:"v[3]" s.Scenario.design in
   List.iter
     (fun it -> Format.printf "%a@." Refine.Flow.pp_iteration it)
     result.Refine.Flow.iterations;
   Format.printf "monitored simulation runs: %d@."
     result.Refine.Flow.simulation_runs;
   Format.printf "%s@."
-    (Refine.Report.summary s.Scenarios.design.Refine.Flow.env
+    (Refine.Report.summary s.Scenario.design.Refine.Flow.env
        result.Refine.Flow.msb_decisions result.Refine.Flow.lsb_decisions)
 
 (* ======================================================================= *)
@@ -197,16 +214,16 @@ let fig4 () =
 
 let fig5 () =
   section "Fig. 5 / Section 6.1: PAM timing-recovery loop";
-  let s = Scenarios.timing () in
-  let env = s.Scenarios.t_design.Refine.Flow.env in
+  let s = timing () in
+  let env = s.Scenario.design.Refine.Flow.env in
   Format.printf "signals subject to refinement: %d (paper: 61)@."
     (List.length (Sim.Env.signals env));
 
   (* what a raw run (no knowledge ranges) would have shown *)
-  let raw = Scenarios.timing ~knowledge_ranges:false () in
-  raw.Scenarios.t_design.Refine.Flow.reset ();
-  raw.Scenarios.t_design.Refine.Flow.run ();
-  let raw_env = raw.Scenarios.t_design.Refine.Flow.env in
+  let raw = timing ~knowledge_ranges:false () in
+  raw.Scenario.design.Refine.Flow.reset ();
+  raw.Scenario.design.Refine.Flow.run ();
+  let raw_env = raw.Scenario.design.Refine.Flow.env in
   let exploded =
     List.map Sim.Signal.name (Refine.Msb_rules.exploded_signals raw_env)
   in
@@ -238,7 +255,7 @@ let fig5 () =
   let config =
     { Refine.Flow.default_config with Refine.Flow.auto_error_lsb = -8 }
   in
-  let result = Refine.Flow.refine ~config ~sqnr_signal:"out" s.Scenarios.t_design in
+  let result = Refine.Flow.refine ~config ~sqnr_signal:"out" s.Scenario.design in
   let saturated =
     List.filter
       (fun (d : Refine.Decision.msb) ->
@@ -267,7 +284,7 @@ let fig5 () =
         Format.printf "  %a@." Refine.Flow.pp_iteration it)
     result.Refine.Flow.iterations;
   Format.printf "  SER after refinement: %.4f@."
-    (Scenarios.ser ~skip:500 ~sent:s.Scenarios.t_sent s.Scenarios.t_output);
+    (ser ~skip:500 s);
 
   (* the sensitive variant: noisy channel, coarse input, hot loop gains —
      the float execution slips a cycle against the fixed one and the NCO
@@ -275,20 +292,20 @@ let fig5 () =
      D signal *)
   Format.printf "@.sensitive variant (noisy channel, coarse input, hot loop):@.";
   let sv =
-    Scenarios.timing ~n_symbols:8000 ~noise_sigma:0.2 ~input_bits:(6, 4)
+    timing ~n_symbols:8000 ~noise_sigma:0.2 ~input_bits:(6, 4)
       ~kp:0.05 ~ki:5e-3 ()
   in
-  sv.Scenarios.t_design.Refine.Flow.reset ();
-  sv.Scenarios.t_design.Refine.Flow.run ();
+  sv.Scenario.design.Refine.Flow.reset ();
+  sv.Scenario.design.Refine.Flow.run ();
   let div =
     List.map Sim.Signal.name
-      (Refine.Lsb_rules.diverged_signals sv.Scenarios.t_design.Refine.Flow.env)
+      (Refine.Lsb_rules.diverged_signals sv.Scenario.design.Refine.Flow.env)
   in
   let div_regs =
     List.filter
       (fun n ->
         Sim.Signal.kind
-          (Sim.Env.find_exn sv.Scenarios.t_design.Refine.Flow.env n)
+          (Sim.Env.find_exn sv.Scenario.design.Refine.Flow.env n)
         = Sim.Env.Registered)
       div
   in
@@ -296,7 +313,7 @@ let fig5 () =
     (List.length div)
     (if div_regs = [] then "(none)" else String.concat ", " div_regs);
   let result2 =
-    Refine.Flow.refine ~config ~sqnr_signal:"out" sv.Scenarios.t_design
+    Refine.Flow.refine ~config ~sqnr_signal:"out" sv.Scenario.design
   in
   let overruled =
     List.concat_map
@@ -318,19 +335,19 @@ let fig5 () =
 
 let msb_threeway () =
   section "Section 4.1: statistic vs quasi-analytical vs analytical MSB";
-  let s = Scenarios.equalizer () in
-  let env = s.Scenarios.design.Refine.Flow.env in
-  s.Scenarios.design.Refine.Flow.reset ();
-  s.Scenarios.design.Refine.Flow.run ();
+  let s = equalizer () in
+  let env = s.Scenario.design.Refine.Flow.env in
+  s.Scenario.design.Refine.Flow.reset ();
+  s.Scenario.design.Refine.Flow.run ();
   (* the range() remedy so all three techniques produce finite answers *)
-  Sim.Signal.range (Dsp.Lms_equalizer.b s.Scenarios.eq) (-0.2) 0.2;
-  s.Scenarios.design.Refine.Flow.reset ();
-  s.Scenarios.design.Refine.Flow.run ();
+  Sim.Signal.range (Dsp.Lms_equalizer.b s.Scenario.block) (-0.2) 0.2;
+  s.Scenario.design.Refine.Flow.reset ();
+  s.Scenario.design.Refine.Flow.run ();
   (* analytical: extract the flowgraph automatically from one executed
      cycle and run the static fixpoint *)
   let _, analytical =
     Sim.Extract.analyze env
-      ~step:(fun () -> Dsp.Lms_equalizer.step s.Scenarios.eq)
+      ~step:(fun () -> Dsp.Lms_equalizer.step s.Scenario.block)
       ()
   in
   Format.printf "%-8s %6s %6s %6s@." "signal" "stat" "quasi" "ana";
@@ -343,7 +360,7 @@ let msb_threeway () =
       let ana = Sfg.Range_analysis.msb_of analytical name in
       Format.printf "%-8s %6s %6s %6s@." name (show stat) (show quasi)
         (show ana))
-    (Dsp.Lms_equalizer.table_signals s.Scenarios.eq);
+    (Dsp.Lms_equalizer.table_signals s.Scenario.block);
   Format.printf
     "@.quasi-analytical (in-simulation propagation) and analytical (static@.";
   Format.printf
@@ -364,7 +381,7 @@ let compare () =
     [ "d[0]"; "d[1]"; "d[2]"; "d[3]"; "d[4]";
       "v[1]"; "v[2]"; "v[3]"; "v[4]"; "v[5]"; "out" ]
   in
-  let d = Scenarios.fir () in
+  let d = fir () in
   let hybrid = Refine.Flow.refine ~sqnr_signal:"out" d in
   let hybrid_bits =
     List.fold_left
@@ -386,7 +403,7 @@ let compare () =
   let target =
     match hybrid.Refine.Flow.sqnr_after_db with Some v -> v | None -> 40.0
   in
-  let d2 = Scenarios.fir () in
+  let d2 = fir () in
   let sim_base =
     Refine.Baseline_sim.optimize ~design:d2 ~signals:datapath ~probe:"out"
       ~target_db:target ()
@@ -398,7 +415,7 @@ let compare () =
 
   (* analytical baseline on the same FIR flowgraph *)
   let g = Sfg.Graph.create () in
-  let _, y = Dsp.Fir.to_sfg g ~coefs:Scenarios.fir_coefs ~input_range:(-1.2, 1.2) in
+  let _, y = Dsp.Fir.to_sfg g ~coefs:Scenario.fir_coefs ~input_range:(-1.2, 1.2) in
   Sfg.Graph.mark_output g "y" y;
   (* budget: match the hybrid's output noise, sigma = step-derived *)
   let ana = Refine.Baseline_ana.analyze g ~output:"v[5]" ~sigma_budget:2e-3 in
@@ -436,7 +453,7 @@ let ablate_klsb () =
     "SQNR after" "degradation";
   List.iter
     (fun k ->
-      let s = Scenarios.equalizer () in
+      let s = equalizer () in
       let config =
         {
           Refine.Flow.default_config with
@@ -444,7 +461,7 @@ let ablate_klsb () =
             { Refine.Lsb_rules.default_config with Refine.Lsb_rules.k_lsb = k };
         }
       in
-      let r = Refine.Flow.refine ~config ~sqnr_signal:"v[3]" s.Scenarios.design in
+      let r = Refine.Flow.refine ~config ~sqnr_signal:"v[3]" s.Scenario.design in
       let frac_bits =
         List.fold_left (fun acc (_, dt) -> acc + max 0 (Fixpt.Dtype.f dt)) 0
           r.Refine.Flow.types
@@ -486,10 +503,10 @@ let ablate_steering () =
   let run steered =
     (* a noisy channel partially closes the eye, so the fixed and float
        slicer decisions actually get the chance to disagree *)
-    let s = Scenarios.equalizer ~steered ~noise_sigma:0.25 () in
-    s.Scenarios.design.Refine.Flow.reset ();
-    s.Scenarios.design.Refine.Flow.run ();
-    let env = s.Scenarios.design.Refine.Flow.env in
+    let s = equalizer ~steered ~noise_sigma:0.25 () in
+    s.Scenario.design.Refine.Flow.reset ();
+    s.Scenario.design.Refine.Flow.run ();
+    let env = s.Scenario.design.Refine.Flow.env in
     let w = Sim.Env.find_exn env "w" in
     let e = Stats.Err_stats.produced (Sim.Signal.err_stats w) in
     (Stats.Running.stddev e, Stats.Running.max_abs e)
@@ -685,11 +702,11 @@ let summary () =
   in
   Format.printf "%-16s %8s %5s %5s %5s %5s %11s %10s@." "design" "signals"
     "MSB" "LSB" "runs" "sat" "typed bits" "SQNR drop";
-  let eq = Scenarios.equalizer () in
-  row "lms-equalizer" eq.Scenarios.design "v[3]";
-  let tr = Scenarios.timing () in
-  row "timing-recovery" tr.Scenarios.t_design "out";
-  row "fir-lowpass" (Scenarios.fir ()) "out";
+  let eq = equalizer () in
+  row "lms-equalizer" eq.Scenario.design "v[3]";
+  let tr = timing () in
+  row "timing-recovery" tr.Scenario.design "out";
+  row "fir-lowpass" (fir ()) "out";
   (* cordic *)
   let env = Sim.Env.create ~seed:31 () in
   let rngc = Stats.Rng.create ~seed:4 in
@@ -763,7 +780,8 @@ let summary () =
 
 (* Raw samples/sec of the dual fixed/float simulation on the two paper
    workloads — the per-assignment hot path everything else multiplies.
-   Prints one line per workload and rewrites the measured fields of
+   Measures the rows the bench guard replays (Oracle.Bench_guard.sim),
+   prints one line per workload and rewrites the measured fields of
    BENCH_sim.json (run from the repo root).
 
    The [before] column is the recorded throughput of the pre-overhaul
@@ -775,32 +793,13 @@ let simbench_baseline = [ ("lms-equalizer", 262075.0); ("timing-recovery", 11277
 
 let simbench () =
   section "simbench: dual-simulation throughput (samples/sec)";
-  let measure name ~samples_per_run (design : Refine.Flow.design) =
-    (* warm-up run (fills channels, faults in code paths) *)
-    design.Refine.Flow.reset ();
-    design.Refine.Flow.run ();
-    let reps = ref 0 in
-    let t0 = Sys.time () in
-    let elapsed () = Sys.time () -. t0 in
-    while elapsed () < 1.0 do
-      design.Refine.Flow.reset ();
-      design.Refine.Flow.run ();
-      incr reps
-    done;
-    let dt = elapsed () in
-    let sps = Float.of_int (!reps * samples_per_run) /. dt in
-    Format.printf "%-18s %7d samples x %4d reps: %12.0f samples/sec@." name
-      samples_per_run !reps sps;
-    (name, samples_per_run, sps)
+  let rows =
+    Oracle.Bench_guard.measure_rows ~budget_seconds:1.0 Oracle.Bench_guard.sim
   in
-  let eq = Scenarios.equalizer () in
-  let tr = Scenarios.timing () in
-  let r1 = measure "lms-equalizer" ~samples_per_run:4000 eq.Scenarios.design in
-  (* 2 samples/symbol in the timing-recovery front end *)
-  let r2 =
-    measure "timing-recovery" ~samples_per_run:8000 tr.Scenarios.t_design
-  in
-  let rows = [ r1; r2 ] in
+  List.iter
+    (fun (name, n, sps) ->
+      Format.printf "%-18s %7d samples/run: %12.0f samples/sec@." name n sps)
+    rows;
   let oc = open_out "BENCH_sim.json" in
   let json =
     Printf.sprintf
@@ -823,7 +822,7 @@ let simbench () =
 (* ======================================================================= *)
 
 (* Samples/sec of the closed ML-TED / Gardner loops (the rows the
-   [check --sync] bench guard replays, Oracle.Bench_guard.sync_rows)
+   bench guard replays, Oracle.Bench_guard.sync)
    plus the acquisition transient: the first input sample after which
    the recovered symbol rate stays within 1% of 1/sps for the rest of
    the run.  The lock time is recorded for trend-watching, not
@@ -832,18 +831,10 @@ let simbench () =
 let syncbench () =
   section "syncbench: closed-synchronizer throughput (samples/sec)";
   let lock_symbols ~ted ~m =
-    let n_symbols = 2000 and sps = 2 in
-    let env = Sim.Env.create ~seed:17 () in
-    let rng = Stats.Rng.create ~seed:463 in
-    let stimulus, sent, n_samples =
-      Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols ~sps ~m ~tau0:0.3
-        ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-    in
-    let input = Sim.Channel.of_fun "rx" stimulus in
-    let output = Sim.Channel.create ~record:true "symbols" in
-    let sy = Dsp.Synchronizer.create env ~ted ~m ~sps ~input ~output () in
-    Dsp.Synchronizer.run sy ~samples:n_samples;
-    let received = Array.of_list (Sim.Channel.recorded output) in
+    let sc = Scenario.sync ~n_symbols:2000 ~ted ~m ~record:true () in
+    sc.Scenario.design.Refine.Flow.run ();
+    let sent = sc.Scenario.sent () in
+    let received = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
     (* align on the locked tail, then find the first 100-symbol window
        whose MER reaches 20 dB at that alignment — the acquisition
        transient in symbols *)
@@ -866,7 +857,9 @@ let syncbench () =
     in
     find 0
   in
-  let rows = Oracle.Bench_guard.sync_rows ~budget_seconds:1.0 () in
+  let rows =
+    Oracle.Bench_guard.measure_rows ~budget_seconds:1.0 Oracle.Bench_guard.sync
+  in
   let locks =
     [
       ("sync-ml-pam4", lock_symbols ~ted:Dsp.Synchronizer.Ml ~m:4);
@@ -909,9 +902,8 @@ let syncbench () =
 
 (* Lane-samples/sec of the flat-schedule executor on the extracted lms
    and timing flowgraphs, at batch 1 (single stimulus vector) and batch
-   64 (structure-of-arrays batching) — measured by the same scenario
-   code the [check --compiled] bench guard replays
-   (Oracle.Bench_guard.compiled_rows).  The sim_baseline column is the
+   64 (structure-of-arrays batching) — the rows the bench guard replays
+   (Oracle.Bench_guard.compiled).  The sim_baseline column is the
    dual-simulation engine's throughput on the same design from
    BENCH_sim.json ("after"), the reference the ISSUE targets multiply:
    >= 5x single-vector, >= 10x batched. *)
@@ -939,7 +931,10 @@ let compilebench () =
     in
     List.assoc wl sim_baselines
   in
-  let rows = Oracle.Bench_guard.compiled_rows ~budget_seconds:1.0 () in
+  let rows =
+    Oracle.Bench_guard.measure_rows ~budget_seconds:1.0
+      Oracle.Bench_guard.compiled
+  in
   List.iter
     (fun (name, steps, sps) ->
       Format.printf
@@ -977,16 +972,17 @@ let compilebench () =
 (* ======================================================================= *)
 
 (* Transitions/sec of the bit-level verification oracle on the two
-   guard scenarios (Oracle.Bench_guard.verify_rows): the exhaustive
+   guard rows (Oracle.Bench_guard.verify): the exhaustive
    biquad no-overflow proof and the bounded lms limit-cycle closure.
    One repetition is a whole verification run — graph rebuild, compile,
    state-space search — so "after" is honest end-to-end proof
-   throughput, the number [check --verify]'s bench guard regresses
-   against. *)
+   throughput, the number the verify bench guard regresses against. *)
 
 let verifybench () =
   section "verifybench: verification-oracle throughput (transitions/sec)";
-  let rows = Oracle.Bench_guard.verify_rows ~budget_seconds:1.0 () in
+  let rows =
+    Oracle.Bench_guard.measure_rows ~budget_seconds:1.0 Oracle.Bench_guard.verify
+  in
   List.iter
     (fun (name, transitions, tps) ->
       Format.printf
@@ -1163,47 +1159,32 @@ let servebench () =
 
 let tracebench () =
   section "tracebench: event-sink overhead (samples/sec)";
-  let measure name ~samples_per_run ~sink_for (design : Refine.Flow.design) =
+  let measure name ~samples_per_run ~sink (design : Refine.Flow.design) =
     let env = design.Refine.Flow.env in
-    (match sink_for () with
+    (match sink with
     | Some sink -> Sim.Env.set_sink env sink
     | None -> Sim.Env.clear_sink env);
-    design.Refine.Flow.reset ();
-    design.Refine.Flow.run ();
-    let reps = ref 0 in
-    let t0 = Sys.time () in
-    let elapsed () = Sys.time () -. t0 in
-    while elapsed () < 1.0 do
-      design.Refine.Flow.reset ();
-      design.Refine.Flow.run ();
-      incr reps
-    done;
-    let dt = elapsed () in
+    let sps =
+      Oracle.Bench_guard.measure ~budget:1.0 design ~samples_per_run
+    in
     Sim.Env.clear_sink env;
-    let sps = Float.of_int (!reps * samples_per_run) /. dt in
-    Format.printf "%-18s %-9s %4d reps: %12.0f samples/sec@." name
-      (match sink_for () with Some _ -> "counting" | None -> "null")
-      !reps sps;
+    Format.printf "%-18s %-9s: %12.0f samples/sec@." name
+      (match sink with Some _ -> "counting" | None -> "null")
+      sps;
     sps
   in
   let rows =
     List.map
-      (fun (name, samples_per_run, design) ->
-        let null_sps = measure name ~samples_per_run ~sink_for:(fun () -> None) design in
+      (fun (name, _, build) ->
+        let design, samples_per_run = build () in
+        let null_sps = measure name ~samples_per_run ~sink:None design in
         let counting_sps =
           measure name ~samples_per_run
-            ~sink_for:(fun () -> Some (Trace.Counters.sink (Trace.Counters.create ())))
+            ~sink:(Some (Trace.Counters.sink (Trace.Counters.create ())))
             design
         in
         (name, null_sps, counting_sps))
-      [
-        ( "lms-equalizer",
-          4000,
-          (Scenarios.equalizer ()).Scenarios.design );
-        ( "timing-recovery",
-          8000,
-          (Scenarios.timing ()).Scenarios.t_design );
-      ]
+      Oracle.Bench_guard.sim_designs
   in
   let oc = open_out "BENCH_trace.json" in
   Printf.fprintf oc
@@ -1226,15 +1207,15 @@ let bechamel_run () =
   section "Bechamel: time per experiment regeneration (reduced workloads)";
   let open Bechamel in
   let quick_eq () =
-    let s = Scenarios.equalizer ~n:400 () in
-    ignore (Refine.Flow.refine s.Scenarios.design)
+    let s = equalizer ~n_symbols:400 () in
+    ignore (Refine.Flow.refine s.Scenario.design)
   in
   let quick_timing () =
-    let s = Scenarios.timing ~n_symbols:400 () in
-    ignore (Refine.Flow.refine s.Scenarios.t_design)
+    let s = timing ~n_symbols:400 () in
+    ignore (Refine.Flow.refine s.Scenario.design)
   in
   let quick_fir_flow () =
-    let d = Scenarios.fir ~n:400 () in
+    let d = fir ~n:400 () in
     ignore (Refine.Flow.refine d)
   in
   let quick_analytical () =
@@ -1243,14 +1224,14 @@ let bechamel_run () =
     ignore (Sfg.Noise_analysis.run g ~ranges)
   in
   let quick_baseline_sim () =
-    let d = Scenarios.fir ~n:200 () in
+    let d = fir ~n:200 () in
     ignore
       (Refine.Baseline_sim.optimize ~design:d ~signals:[ "v[3]"; "out" ]
          ~probe:"out" ~target_db:30.0 ())
   in
   let quick_vhdl () =
     let g = Sfg.Graph.create () in
-    let _, y = Dsp.Fir.to_sfg g ~coefs:Scenarios.fir_coefs ~input_range:(-1.2, 1.2) in
+    let _, y = Dsp.Fir.to_sfg g ~coefs:Scenario.fir_coefs ~input_range:(-1.2, 1.2) in
     Sfg.Graph.mark_output g "y" y;
     ignore
       (Vhdl.Emit.entity

@@ -12,10 +12,8 @@
      sweep      — parallel wordlength/stimuli exploration (multicore)
      faultsim   — run a sweep under a seeded fault-injection plan
      trace      — run one conformance workload under full tracing
-     check      — the conformance oracle (--faults adds the fault gate,
-                  --compiled the compiled-executor gate, --verify the
-                  verification-oracle gate, --serve the cache/daemon
-                  gate)
+     check      — the conformance oracle: every gate of Oracle.Gates,
+                  in order
      compile    — lower workload flowgraphs to the batched flat-schedule
                   executor; equality spot check + throughput
      verify     — prove/refute no-overflow and no-limit-cycle on a
@@ -134,34 +132,18 @@ let config_of k_lsb =
 
 let run_equalizer n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:11 () in
-  let rng = Stats.Rng.create ~seed in
-  let stimulus, sent = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:n () in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "decisions" in
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:7 ~f:5 () in
-  let eq = Dsp.Lms_equalizer.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-1.5) 1.5;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Lms_equalizer.run eq ~cycles:n);
-    }
-  in
+  let sc = Scenario.lms ~n_symbols:n ~seed ~record:true () in
+  let env = sc.Scenario.env in
   let result =
     with_observability ~trace_file ~counters_file ~label:"equalizer" env
       (fun () ->
         Refine.Flow.refine ~config:(config_of k_lsb) ~sqnr_signal:"v[3]"
-          design)
+          sc.Scenario.design)
   in
   print_flow_result env result;
-  let decided = Array.of_list (Sim.Channel.recorded output) in
-  Format.printf "SER: %.4f@." (Dsp.Pam.best_ser ~skip:100 ~sent ~decided ())
+  let decided = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
+  Format.printf "SER: %.4f@."
+    (Dsp.Pam.best_ser ~skip:100 ~sent:(sc.Scenario.sent ()) ~decided ())
 
 let equalizer_cmd =
   Cmd.v
@@ -174,41 +156,20 @@ let equalizer_cmd =
 
 let run_timing n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:5 () in
-  let rng = Stats.Rng.create ~seed in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols:n ~tau:0.3 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:10 ~f:8 () in
-  let tr = Dsp.Timing_recovery.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Timing_recovery.input_signal tr) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Timing_recovery.nco tr)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "ted_err") (-4.0) 4.0;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Timing_recovery.run tr ~samples:n_samples);
-    }
-  in
+  let sc = Scenario.timing ~n_symbols:n ~seed ~record:true () in
+  let env = sc.Scenario.env in
   let config =
     { (config_of k_lsb) with Refine.Flow.auto_error_lsb = -8 }
   in
   let result =
     with_observability ~trace_file ~counters_file ~label:"timing" env
-      (fun () -> Refine.Flow.refine ~config ~sqnr_signal:"out" design)
+      (fun () ->
+        Refine.Flow.refine ~config ~sqnr_signal:"out" sc.Scenario.design)
   in
   print_flow_result env result;
-  let decided = Array.of_list (Sim.Channel.recorded output) in
+  let decided = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
   Format.printf "SER after lock: %.4f@."
-    (Dsp.Pam.best_ser ~skip:500 ~sent ~decided ())
+    (Dsp.Pam.best_ser ~skip:500 ~sent:(sc.Scenario.sent ()) ~decided ())
 
 let timing_cmd =
   Cmd.v
@@ -221,67 +182,23 @@ let timing_cmd =
 
 let run_timing_ml n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols:n ~m:4 ~tau0:0.3
-      ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
   let decisions = Sim.Channel.create ~record:true "decisions" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let sy =
-    Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Ml ~m:4 ~x_dtype ~input
-      ~output ~decisions ()
-  in
-  Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Synchronizer.nco sy)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "mlted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_dout") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output;
-          Sim.Channel.clear decisions);
-      run = (fun () -> Dsp.Synchronizer.run sy ~samples:n_samples);
-    }
-  in
+  let sc = Scenario.sync ~n_symbols:n ~seed ~record:true ~decisions () in
+  let env = sc.Scenario.env and sy = sc.Scenario.block in
+  let design = sc.Scenario.design and sent = sc.Scenario.sent () in
   (* float reference pass: lock quality before any quantization *)
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();
   let skip = min 300 (n / 2) in
   let mer_now () =
-    let received = Array.of_list (Sim.Channel.recorded output) in
+    let received = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
     fst (Dsp.Pam.best_mer ~skip ~sent ~received ())
   in
   let float_mer = mer_now () in
   Format.printf
     "float lock: MER %.2f dB, strobe-rate error %.4f@." float_mer
     (Dsp.Synchronizer.strobe_rate_error sy);
-  (* §6.1's knowledge-based overrule: the NCO phase register's error
-     monitoring is meaningless under decision-steered feedback, so the
-     designer fixes its error model with error() before refinement *)
-  let auto_error_lsb = -8 in
-  let h = Refine.Lsb_rules.error_halfwidth_of_lsb auto_error_lsb in
-  Sim.Signal.error (Dsp.Nco.phase (Dsp.Synchronizer.nco sy)) h;
-  let config =
-    {
-      (config_of k_lsb) with
-      Refine.Flow.auto_error_lsb;
-      error_overrides = [ ("nco_eta", h) ];
-    }
-  in
+  let config = Scenario.overrule_nco_phase sc (config_of k_lsb) in
   let result =
     with_observability ~trace_file ~counters_file ~label:"timing-ml" env
       (fun () -> Refine.Flow.refine ~config ~sqnr_signal:"out" design)
@@ -866,8 +783,7 @@ let trace_cmd =
 
 (* --- check: the conformance oracle ------------------------------------- *)
 
-let run_check seed per_combo update_golden no_bench golden_dir jobs faults
-    compiled with_verify with_serve with_sync with_chaos verbose =
+let run_check seed per_combo update_golden no_bench golden_dir jobs verbose =
   setup_logs verbose;
   let seed =
     match seed with Some s -> s | None -> Oracle.Differential.default_seed ()
@@ -876,111 +792,16 @@ let run_check seed per_combo update_golden no_bench golden_dir jobs faults
     "fxrefine check: seed %d (replay with --check-seed %d or \
      FXREFINE_QCHECK_SEED=%d)@."
     seed seed seed;
-  let diff = Oracle.Differential.run ~seed ~per_combo () in
-  Format.printf "%a@." Oracle.Differential.pp_report diff;
-  let meta = Oracle.Metamorphic.run_all () in
-  Format.printf "%a@." Oracle.Metamorphic.pp_report meta;
-  let golden = Oracle.Golden.check ~update:update_golden ?dir:golden_dir () in
-  Format.printf "%a@." Oracle.Golden.pp_result golden;
-  (* The chaos gate forks, and OCaml 5 forbids [Unix.fork] once any
-     domain was ever created in the process — so it must run before
-     the sweep/trace/serve gates (and before its own resume legs)
-     spawn worker domains. *)
-  let chaos_ok =
-    if with_chaos then begin
-      let cr = Oracle.Chaos_check.run ?jobs ~seed () in
-      Format.printf "%a@." Oracle.Chaos_check.pp_report cr;
-      Oracle.Chaos_check.passed cr
-    end
-    else true
-  in
-  let sweep = Oracle.Sweep_check.run ?jobs () in
-  Format.printf "%a@." Oracle.Sweep_check.pp_report sweep;
-  let trace = Oracle.Trace_check.run ?jobs () in
-  Format.printf "%a@." Oracle.Trace_check.pp_report trace;
-  let faults_ok =
-    if faults then begin
-      let fr = Oracle.Fault_check.run ?jobs () in
-      Format.printf "%a@." Oracle.Fault_check.pp_report fr;
-      Oracle.Fault_check.passed fr
-    end
-    else true
-  in
-  let compiled_ok =
-    if compiled then begin
-      let cr = Oracle.Compile_check.run () in
-      Format.printf "%a@." Oracle.Compile_check.pp_report cr;
-      Oracle.Compile_check.passed cr
-    end
-    else true
-  in
-  let bench_ok =
-    if no_bench then begin
-      Format.printf "bench guard: skipped (--no-bench)@.";
-      true
-    end
-    else begin
-      let bench = Oracle.Bench_guard.run () in
-      Format.printf "%a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-  in
-  let compile_bench_ok =
-    if compiled && not no_bench then begin
-      let bench = Oracle.Bench_guard.run_compiled () in
-      Format.printf "compiled %a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-    else true
-  in
-  let verify_ok =
-    if with_verify then begin
-      let vr = Oracle.Verify_check.run ~update:update_golden ?dir:golden_dir () in
-      Format.printf "%a@." Oracle.Verify_check.pp_report vr;
-      Oracle.Verify_check.passed vr
-    end
-    else true
-  in
-  let verify_bench_ok =
-    if with_verify && not no_bench then begin
-      let bench = Oracle.Bench_guard.run_verify () in
-      Format.printf "verify %a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-    else true
-  in
-  let serve_ok =
-    if with_serve then begin
-      let sr = Oracle.Serve_check.run ?jobs () in
-      Format.printf "%a@." Oracle.Serve_check.pp_report sr;
-      Oracle.Serve_check.passed sr
-    end
-    else true
-  in
-  let sync_ok =
-    if with_sync then begin
-      let sr = Oracle.Sync_check.run ?jobs () in
-      Format.printf "%a@." Oracle.Sync_check.pp_report sr;
-      Oracle.Sync_check.passed sr
-    end
-    else true
-  in
-  let sync_bench_ok =
-    if with_sync && not no_bench then begin
-      let bench = Oracle.Bench_guard.run_sync () in
-      Format.printf "sync %a@." Oracle.Bench_guard.pp_report bench;
-      Oracle.Bench_guard.passed bench
-    end
-    else true
-  in
   let ok =
-    Oracle.Differential.passed diff
-    && Oracle.Metamorphic.passed meta
-    && Oracle.Golden.passed golden
-    && Oracle.Sweep_check.passed sweep
-    && Oracle.Trace_check.passed trace && faults_ok && compiled_ok
-    && bench_ok && compile_bench_ok && verify_ok && verify_bench_ok
-    && serve_ok && sync_ok && sync_bench_ok && chaos_ok
+    Oracle.Gates.run_all
+      {
+        Oracle.Gates.seed;
+        per_combo;
+        update_golden;
+        golden_dir;
+        jobs = Oracle.Gates.jobs jobs;
+        no_bench;
+      }
   in
   Format.printf "fxrefine check: %s@." (if ok then "PASS" else "FAIL");
   if not ok then exit 1
@@ -1010,7 +831,7 @@ let check_cmd =
   let no_bench_t =
     Arg.(
       value & flag
-      & info [ "no-bench" ] ~doc:"Skip the throughput regression guard.")
+      & info [ "no-bench" ] ~doc:"Skip the throughput regression guards.")
   in
   let golden_dir_t =
     Arg.(
@@ -1024,96 +845,23 @@ let check_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ]
           ~doc:
-            "Worker domains for the sweep-determinism gate (default: \
-             recommended domain count, at least 2).")
-  in
-  let faults_t =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Also run the fault-injection gate: schedule replay, faulted \
-             sweep quarantine determinism, collect-policy degradation.")
-  in
-  let compiled_t =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "Also run the compiled-executor gate: byte-equality between \
-             the flat-schedule executor and the interpreter over every \
-             conformance workload graph (batched, with fault replay), \
-             sweep metric parity, and the compiled-throughput guard \
-             against BENCH_compile.json (unless \\$(b,--no-bench)).")
-  in
-  let verify_t =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:
-            "Also run the verification-oracle gate: prove/refute \
-             no-overflow and no-limit-cycle on every conformance workload \
-             flowgraph plus the pinned biquad exemplars, cross-check \
-             refutations against the range analysis (soundness), pin the \
-             counterexample stimuli as golden files and replay them \
-             through interpreter and compiled executor, plus the \
-             verification-throughput guard against BENCH_verify.json \
-             (unless \\$(b,--no-bench)).")
-  in
-  let serve_t =
-    Arg.(
-      value & flag
-      & info [ "serve" ]
-          ~doc:
-            "Also run the serve gate: the content-addressed evaluation \
-             cache must be byte-transparent (no-cache vs cold vs warm vs \
-             parallel-warm reports identical, warm answering every \
-             candidate from disk), and a daemon round trip over a real \
-             Unix socket must return the same byte-identical report.")
-  in
-  let sync_t =
-    Arg.(
-      value & flag
-      & info [ "sync" ]
-          ~doc:
-            "Also run the synchronizer gate: the closed ML-TED timing loop \
-             must lock on drifting-tau 4-PAM in float, stay within 2 dB MER \
-             after the \\$(b,\\\\S6.1) refinement (saturating loop-filter \
-             integrator, error()-overruled NCO phase visible in the \
-             decisions), render a jobs-independent sweep report, and hold \
-             the syncbench throughput guard against BENCH_sync.json \
-             (unless \\$(b,--no-bench)).")
-  in
-  let chaos_t =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Also run the chaos gate: fork checkpointed sweeps and a \
-             journaled daemon, \\$(b,SIGKILL) them at seeded points \
-             mid-wave, resume, and require the resumed reports \
-             byte-identical to never-killed runs, every write-ahead \
-             intent recovered on restart, a clean \\$(b,SIGTERM) drain, \
-             and seeded corruption of cache entries, journaled waves and \
-             intents: every damaged entry detected by a full-CRC scrub, \
-             every damaged wave re-evaluated, every damaged intent \
-             quarantined.")
+            "Worker domains on the parallel side of every parallel gate \
+             (sweep, trace, faults, serve, chaos; default: recommended \
+             domain count clamped to 2..4, at least 2).")
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Run the conformance oracle: differential quantizer testing, \
-          metamorphic workload invariants, golden traces, sweep determinism, \
-          trace determinism, bench guard; \\$(b,--faults) adds the \
-          fault-injection gate, \\$(b,--compiled) the compiled-executor \
-          gate, \\$(b,--verify) the verification-oracle gate, \
-          \\$(b,--serve) the cache/daemon gate, \\$(b,--sync) the \
-          synchronizer lock/refine gate, \\$(b,--chaos) the kill-based \
-          crash-safety gate.")
+         "Run the conformance oracle, every gate in order: differential \
+          quantizer testing, metamorphic workload invariants, golden \
+          traces, the kill-based crash-safety gate, sweep determinism, \
+          trace determinism, fault injection, compiled-executor equality, \
+          the verification oracle, the cache/daemon gate, the \
+          synchronizer lock/refine gate, and the throughput guards \
+          against the committed BENCH_*.json baselines.")
     Term.(
       const run_check $ seed_t $ per_combo_t $ update_t $ no_bench_t
-      $ golden_dir_t $ jobs_t $ faults_t $ compiled_t $ verify_t $ serve_t
-      $ sync_t $ chaos_t $ verbose_t)
+      $ golden_dir_t $ jobs_t $ verbose_t)
 
 (* --- compile: inspect the flat-schedule executor ------------------------ *)
 
@@ -1399,18 +1147,10 @@ let run_sfg auto dot_path =
   let g =
     if auto then begin
       (* extract the flowgraph automatically from one executed cycle *)
-      let env = Sim.Env.create ~seed:11 () in
-      let rng = Stats.Rng.create ~seed:2024 in
-      let stimulus, _ = Dsp.Channel_model.isi_awgn ~rng ~n_symbols:200 () in
-      let input = Sim.Channel.of_fun "rx" stimulus in
-      let output = Sim.Channel.create "y" in
-      let eq = Dsp.Lms_equalizer.create env ~input ~output () in
-      Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-1.5) 1.5;
-      Sim.Signal.range (Dsp.Lms_equalizer.b eq) (-0.2) 0.2;
-      Dsp.Lms_equalizer.run eq ~cycles:100;
-      Sim.Extract.graph env ~outputs:[ "y"; "w" ]
-        ~step:(fun () -> Dsp.Lms_equalizer.step eq)
-        ()
+      let sc = Scenario.lms ~n_symbols:200 ~typed_input:false () in
+      Sim.Signal.range (Dsp.Lms_equalizer.b sc.Scenario.block) (-0.2) 0.2;
+      Dsp.Lms_equalizer.run sc.Scenario.block ~cycles:100;
+      sc.Scenario.extract ~outputs:[ "y"; "w" ] ()
     end
     else Dsp.Lms_equalizer.to_sfg ~b_range:(-0.2, 0.2) ()
   in

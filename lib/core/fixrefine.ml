@@ -18,22 +18,27 @@
     - {!Sfg}: signal-flow graphs and the pure analytical analyses;
     - {!Compile}: the flat-schedule batched executor — extracted graphs
       lowered to preallocated-array programs with fused quantizers,
-      behind [fxrefine compile], [fxrefine check --compiled] and the
+      behind [fxrefine compile], the [compiled] check gate and the
       sweep's compiled candidate evaluation;
     - {!Verify}: the sound bit-level verification oracle — exhaustive
       or bounded explicit-state search over the compiled executor that
       proves or refutes no-overflow and no-limit-cycle on refined
-      designs, behind [fxrefine verify] and [fxrefine check --verify];
+      designs, behind [fxrefine verify] and the [verify] check gate;
     - {!Refine}: the refinement rules, the design flow driver, and the
       two literature baselines;
     - {!Dsp}: the paper's example designs (LMS equalizer, PAM timing
       recovery) and a block library;
+    - {!Scenario}: the scenario registry — the 5-tap FIR, the LMS
+      equalizer, the timing-recovery loop and the closed synchronizer,
+      each declared once (stimulus, input type, knowledge ranges,
+      probe, extract closure) for every workload, gate, guard, CLI
+      subcommand and bench experiment that runs them;
     - {!Sweep}: the parallel (multicore) wordlength/stimuli exploration
       engine behind [fxrefine sweep];
     - {!Fault}: seeded deterministic fault injection (stimulus
       corruption, SEU bitflips, forced overflows, stream starvation)
       and the graceful-degradation plumbing behind [fxrefine faultsim]
-      and [fxrefine check --faults];
+      and the [faults] check gate;
     - {!Durable}: the one on-disk record layer — CRC-framed, atomically
       written records behind the evaluation cache, the sweep wave
       journal and the daemon intent journal;
@@ -41,11 +46,12 @@
       evaluation cache (persistent memoization of candidate
       evaluations) and the [fxrefine serve] daemon executing sweep
       jobs over a Unix socket, behind [fxrefine sweep --cache-dir],
-      [fxrefine serve]/[fxrefine submit] and [fxrefine check --serve];
+      [fxrefine serve]/[fxrefine submit] and the [serve] check gate;
     - {!Vhdl}: VHDL generation for refined datapaths;
     - {!Oracle}: the conformance oracle — executable quantization spec,
       differential testing, metamorphic workload invariants, golden
-      traces and the bench regression guard behind [fxrefine check].
+      traces, the bench regression guard, and the ordered gate table
+      ({!Oracle.Gates}) that [fxrefine check] runs in full.
 
     Quickstart: see [examples/quickstart.ml]. *)
 
@@ -59,6 +65,7 @@ module Compile = Compile
 module Verify = Verify
 module Refine = Refine
 module Dsp = Dsp
+module Scenario = Scenario
 module Sweep = Sweep
 module Fault = Fault
 module Durable = Durable

@@ -1,5 +1,5 @@
-(* Bench regression guard: the simbench workloads re-measured against
-   the committed BENCH_sim.json baselines. *)
+(* Bench regression guard: the bench rows re-measured against the
+   committed BENCH_*.json baselines, one guard per file. *)
 
 type entry = {
   bench : string;
@@ -9,9 +9,17 @@ type entry = {
   ratio : float;
 }
 
-type report = { threshold : float; entries : entry list; note : string option }
+type report = { title : string; entries : entry list; note : string option }
 
-let default_baseline_file = "BENCH_sim.json"
+type row = {
+  name : string;
+  scenario : string;
+  prepare : unit -> budget:float -> int * float;
+}
+
+type guard = { gate : string; title : string; file : string; rows : row list }
+
+let threshold = 0.8
 
 (* --- baseline parsing (no JSON dependency) ------------------------------ *)
 
@@ -60,93 +68,6 @@ let parse_baselines text =
   in
   entries 0 []
 
-(* --- the measured workloads (mirrors of bench/scenarios.ml) ------------- *)
-
-let equalizer_design () =
-  let n = 4000 in
-  let env = Sim.Env.create ~seed:11 () in
-  let rng = Stats.Rng.create ~seed:2024 in
-  let stimulus, _ =
-    Dsp.Channel_model.isi_awgn ~noise_sigma:0.02 ~rng ~n_symbols:n ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create "decisions" in
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:7 ~f:5 () in
-  let eq = Dsp.Lms_equalizer.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-1.5) 1.5;
-  ( {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Lms_equalizer.run eq ~cycles:n);
-    },
-    n )
-
-let timing_design () =
-  let n_symbols = 4000 in
-  let env = Sim.Env.create ~seed:5 () in
-  let rng = Stats.Rng.create ~seed:99 in
-  let stimulus, _, n_samples =
-    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols ~tau:0.3
-      ~noise_sigma:0.01 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create "symbols" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let tr = Dsp.Timing_recovery.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Timing_recovery.input_signal tr) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Timing_recovery.nco tr)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "ted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  ( {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Timing_recovery.run tr ~samples:n_samples);
-    },
-    n_samples )
-
-(* The closed synchronizer loop (mirrors bench/main.ml's syncbench
-   rows): the drifting-tau M-PAM stimulus of the sync conformance
-   workload at bench length. *)
-let sync_design ~ted ~m () =
-  let n_symbols = 4000 and sps = 2 in
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed:463 in
-  let stimulus, _sent, n_samples =
-    Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols ~sps ~m ~tau0:0.3
-      ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create "symbols" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let sy = Dsp.Synchronizer.create env ~ted ~m ~sps ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-1.6) 1.6;
-  ( {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Synchronizer.run sy ~samples:n_samples);
-    },
-    n_samples )
-
 (* Deflake: wall-clock throughput on a shared machine is noisy in one
    direction only (preemption can slow a run down, never speed it up),
    so every guard scores the median of three independently timed
@@ -157,142 +78,78 @@ let median3 f =
   | [ _; m; _ ] -> m
   | _ -> assert false
 
-(* Same protocol as simbench: one warm-up run, then whole-run
-   repetitions for the time budget. *)
-let measure ~budget (design : Refine.Flow.design) ~samples_per_run =
-  design.Refine.Flow.reset ();
-  design.Refine.Flow.run ();
+(* One warm-up run, then whole-run repetitions for the time budget. *)
+let timed ~budget once =
+  once ();
   let reps = ref 0 in
   let t0 = Sys.time () in
   let elapsed () = Sys.time () -. t0 in
   while elapsed () < budget || !reps = 0 do
-    design.Refine.Flow.reset ();
-    design.Refine.Flow.run ();
+    once ();
     incr reps
   done;
-  Float.of_int (!reps * samples_per_run) /. elapsed ()
+  Float.of_int !reps /. elapsed ()
 
-let run ?(baseline_file = default_baseline_file) ?(threshold = 0.8)
-    ?(budget_seconds = 0.5) () =
-  if not (Sys.file_exists baseline_file) then
-    {
-      threshold;
-      entries = [];
-      note = Some (Printf.sprintf "baseline %s not found: skipped" baseline_file);
-    }
-  else
-    let baselines =
-      try parse_baselines (In_channel.with_open_bin baseline_file In_channel.input_all)
-      with Sys_error e ->
-        ignore e;
-        []
-    in
-    if baselines = [] then
-      {
-        threshold;
-        entries = [];
-        note =
-          Some (Printf.sprintf "no baselines parsed from %s: skipped" baseline_file);
-      }
-    else
-      let one bench build =
-        match List.assoc_opt bench baselines with
-        | None -> None
-        | Some baseline ->
-            let design, samples_per_run = build () in
-            let measured =
-              median3 (fun () ->
-                  measure ~budget:budget_seconds design ~samples_per_run)
-            in
-            Some
-              {
-                bench;
-                samples_per_run;
-                baseline;
-                measured;
-                ratio = measured /. baseline;
-              }
-      in
-      let entries =
-        List.filter_map
-          (fun (bench, build) -> one bench build)
-          [
-            ("lms-equalizer", equalizer_design);
-            ("timing-recovery", timing_design);
-          ]
-      in
-      { threshold; entries; note = None }
+let measure ~budget (design : Refine.Flow.design) ~samples_per_run =
+  Float.of_int samples_per_run
+  *. timed ~budget (fun () ->
+         design.Refine.Flow.reset ();
+         design.Refine.Flow.run ())
 
-(* --- synchronizer throughput (BENCH_sync.json) -------------------------- *)
+(* --- the dual-simulation rows (BENCH_sim.json, BENCH_sync.json) --------- *)
 
-let default_sync_baseline_file = "BENCH_sync.json"
+let of_scenario (sc : _ Scenario.t) = (sc.Scenario.design, sc.Scenario.cycles)
 
-(* The rows syncbench writes and this guard re-measures: dual-simulation
-   samples/sec of the closed loop, per detector. *)
-let sync_rows ?(budget_seconds = 0.5) () =
-  List.map
-    (fun (name, ted, m) ->
-      let design, samples_per_run = sync_design ~ted ~m () in
-      ( name,
-        samples_per_run,
-        median3 (fun () ->
-            measure ~budget:budget_seconds design ~samples_per_run) ))
-    [
-      ("sync-ml-pam4", Dsp.Synchronizer.Ml, 4);
-      ("sync-gardner-pam2", Dsp.Synchronizer.Gardner, 2);
-    ]
+let sim_designs =
+  [
+    ("lms-equalizer", "lms", fun () -> of_scenario (Scenario.lms ()));
+    ("timing-recovery", "timing", fun () -> of_scenario (Scenario.timing ()));
+  ]
 
-let run_sync ?(baseline_file = default_sync_baseline_file) ?(threshold = 0.8)
-    ?(budget_seconds = 0.5) () =
-  if not (Sys.file_exists baseline_file) then
-    {
-      threshold;
-      entries = [];
-      note =
-        Some (Printf.sprintf "baseline %s not found: skipped" baseline_file);
-    }
-  else
-    let baselines =
-      try
-        parse_baselines
-          (In_channel.with_open_bin baseline_file In_channel.input_all)
-      with Sys_error _ -> []
-    in
-    if baselines = [] then
-      {
-        threshold;
-        entries = [];
-        note =
-          Some
-            (Printf.sprintf "no baselines parsed from %s: skipped"
-               baseline_file);
-      }
-    else
-      let entries =
-        List.filter_map
-          (fun (bench, samples_per_run, measured) ->
-            match List.assoc_opt bench baselines with
-            | None -> None
-            | Some baseline ->
-                Some
-                  {
-                    bench;
-                    samples_per_run;
-                    baseline;
-                    measured;
-                    ratio = measured /. baseline;
-                  })
-          (sync_rows ~budget_seconds ())
-      in
-      { threshold; entries; note = None }
+let design_row (name, scenario, build) =
+  {
+    name;
+    scenario;
+    prepare =
+      (fun () ->
+        let design, samples_per_run = build () in
+        fun ~budget -> (samples_per_run, measure ~budget design ~samples_per_run));
+  }
+
+let sim =
+  {
+    gate = "bench";
+    title = "bench guard";
+    file = "BENCH_sim.json";
+    rows = List.map design_row sim_designs;
+  }
+
+(* Dual-simulation samples/sec of the closed loop, per detector. *)
+let sync =
+  {
+    gate = "bench-sync";
+    title = "sync bench guard";
+    file = "BENCH_sync.json";
+    rows =
+      List.map design_row
+        [
+          ( "sync-ml-pam4",
+            "sync",
+            fun () ->
+              of_scenario (Scenario.sync ~ted:Dsp.Synchronizer.Ml ~m:4 ()) );
+          ( "sync-gardner-pam2",
+            "sync",
+            fun () ->
+              of_scenario
+                (Scenario.sync ~ted:Dsp.Synchronizer.Gardner ~m:2 ()) );
+        ];
+  }
 
 (* --- compiled-executor throughput (BENCH_compile.json) ------------------ *)
 
-let default_compiled_baseline_file = "BENCH_compile.json"
-
-(* The graphs the compiled rows run: the extracted flowgraphs of the
-   lms and timing conformance workloads — the same extraction the
-   sweep's compiled candidate path uses. *)
+(* The graphs the compiled and verify rows run: the extracted flowgraphs
+   of the conformance workloads — the same extraction the sweep's
+   compiled candidate path uses. *)
 let scenario_graph name =
   match Workloads.find name with
   | None -> failwith ("Bench_guard: unknown workload " ^ name)
@@ -302,185 +159,139 @@ let scenario_graph name =
       | Some f -> f ()
       | None -> failwith ("Bench_guard: workload has no extractor: " ^ name))
 
-(* simbench's protocol on the flat-schedule executor: one warm-up run,
-   then whole-run repetitions for the budget.  Throughput counts
-   lane-samples (steps x batch): the quantity a batched sweep consumes. *)
-let measure_compiled ~budget prog ~steps =
-  let buf = Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75) in
-  let inputs _name ~lane step =
-    Array.unsafe_get buf ((lane + (step * 31)) land 8191)
-  in
-  Compile.run prog ~steps ~inputs;
-  let reps = ref 0 in
-  let t0 = Sys.time () in
-  let elapsed () = Sys.time () -. t0 in
-  while elapsed () < budget || !reps = 0 do
-    Compile.run prog ~steps ~inputs;
-    incr reps
-  done;
-  Float.of_int (!reps * steps * Compile.batch prog) /. elapsed ()
+(* Throughput counts lane-samples (steps x batch): the quantity a
+   batched sweep consumes. *)
+let compiled_row (name, scenario, batch, steps) =
+  {
+    name;
+    scenario;
+    prepare =
+      (fun () ->
+        let prog = Compile.compile ~batch (scenario_graph scenario) in
+        let buf =
+          Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75)
+        in
+        let inputs _name ~lane step =
+          Array.unsafe_get buf ((lane + (step * 31)) land 8191)
+        in
+        fun ~budget ->
+          ( steps,
+            Float.of_int (steps * Compile.batch prog)
+            *. timed ~budget (fun () -> Compile.run prog ~steps ~inputs) ));
+  }
 
-let compiled_rows ?(budget_seconds = 0.5) () =
-  let lms = scenario_graph "lms" and timing = scenario_graph "timing" in
-  List.map
-    (fun (name, g, batch, steps) ->
-      let prog = Compile.compile ~batch g in
-      ( name,
-        steps,
-        median3 (fun () -> measure_compiled ~budget:budget_seconds prog ~steps)
-      ))
-    [
-      ("lms-compiled-b1", lms, 1, 4000);
-      ("lms-compiled-b64", lms, 64, 4000);
-      ("timing-compiled-b1", timing, 1, 8000);
-      ("timing-compiled-b64", timing, 64, 8000);
-    ]
-
-let run_compiled ?(baseline_file = default_compiled_baseline_file)
-    ?(threshold = 0.8) ?(budget_seconds = 0.5) () =
-  if not (Sys.file_exists baseline_file) then
-    {
-      threshold;
-      entries = [];
-      note =
-        Some (Printf.sprintf "baseline %s not found: skipped" baseline_file);
-    }
-  else
-    let baselines =
-      try
-        parse_baselines
-          (In_channel.with_open_bin baseline_file In_channel.input_all)
-      with Sys_error _ -> []
-    in
-    if baselines = [] then
-      {
-        threshold;
-        entries = [];
-        note =
-          Some
-            (Printf.sprintf "no baselines parsed from %s: skipped"
-               baseline_file);
-      }
-    else
-      let entries =
-        List.filter_map
-          (fun (bench, samples_per_run, measured) ->
-            match List.assoc_opt bench baselines with
-            | None -> None
-            | Some baseline ->
-                Some
-                  {
-                    bench;
-                    samples_per_run;
-                    baseline;
-                    measured;
-                    ratio = measured /. baseline;
-                  })
-          (compiled_rows ~budget_seconds ())
-      in
-      { threshold; entries; note = None }
+let compiled =
+  {
+    gate = "bench-compiled";
+    title = "compiled bench guard";
+    file = "BENCH_compile.json";
+    rows =
+      List.map compiled_row
+        [
+          ("lms-compiled-b1", "lms", 1, 4000);
+          ("lms-compiled-b64", "lms", 64, 4000);
+          ("timing-compiled-b1", "timing", 1, 8000);
+          ("timing-compiled-b64", "timing", 64, 8000);
+        ];
+  }
 
 (* --- verification-engine throughput (BENCH_verify.json) ---------------- *)
 
-let default_verify_baseline_file = "BENCH_verify.json"
+(* The measured unit is one whole verification run (compile, search, and
+   for the biquad the graph rebuild) — the wall-clock a verify-gate
+   caller pays — and throughput counts executed transitions/sec, the
+   verifier's analogue of samples/sec.  The biquad row measures a
+   pinned {!Verify.Designs} exemplar, the only row outside the
+   scenario registry. *)
+let verify_row (name, scenario, once) =
+  {
+    name;
+    scenario;
+    prepare =
+      (fun () ->
+        let once = once () in
+        fun ~budget ->
+          let per = ref 0 in
+          let rate =
+            timed ~budget (fun () ->
+                per := (once ()).Verify.Engine.stats.Verify.Engine.transitions)
+          in
+          (!per, Float.of_int !per *. rate));
+  }
 
-(* The measured unit is one whole verification run (graph rebuild,
-   compile, search) — the wall-clock a `check --verify` caller pays —
-   and throughput counts executed transitions/sec, the verifier's
-   analogue of samples/sec. *)
-let verify_scenarios () =
-  let lms = scenario_graph "lms" in
-  [
-    ( "verify-biquad-proof",
-      fun () ->
-        Verify.Engine.verify ~max_bits:10 ~depth:48 ~max_states:4096
-          Verify.Engine.No_overflow
-          (Verify.Designs.biquad_repaired ()) );
-    ( "verify-lms-closure",
-      fun () ->
-        Verify.Engine.verify ~max_bits:10 ~depth:48 ~max_states:4096
-          Verify.Engine.No_limit_cycle lms );
-  ]
+let verify =
+  let run prop g =
+    Verify.Engine.verify ~max_bits:10 ~depth:48 ~max_states:4096 prop g
+  in
+  {
+    gate = "bench-verify";
+    title = "verify bench guard";
+    file = "BENCH_verify.json";
+    rows =
+      List.map verify_row
+        [
+          ( "verify-biquad-proof",
+            "biquad-repaired",
+            fun () () ->
+              run Verify.Engine.No_overflow (Verify.Designs.biquad_repaired ())
+          );
+          ( "verify-lms-closure",
+            "lms",
+            fun () ->
+              let lms = scenario_graph "lms" in
+              fun () -> run Verify.Engine.No_limit_cycle lms );
+        ];
+  }
 
-let measure_verify ~budget once =
-  let r = once () in
-  let per = r.Verify.Engine.stats.Verify.Engine.transitions in
-  let reps = ref 0 in
-  let t0 = Sys.time () in
-  let elapsed () = Sys.time () -. t0 in
-  while elapsed () < budget || !reps = 0 do
-    ignore (once ());
-    incr reps
-  done;
-  (per, Float.of_int (!reps * per) /. elapsed ())
+(* --- the guard ----------------------------------------------------------- *)
 
-let verify_rows ?(budget_seconds = 0.5) () =
+let measure_rows ~budget_seconds g =
   List.map
-    (fun (name, once) ->
+    (fun r ->
+      let measure = r.prepare () in
       let per = ref 0 in
       let rate =
         median3 (fun () ->
-            let p, r = measure_verify ~budget:budget_seconds once in
+            let p, v = measure ~budget:budget_seconds in
             per := p;
-            r)
+            v)
       in
-      (name, !per, rate))
-    (verify_scenarios ())
+      (r.name, !per, rate))
+    g.rows
 
-let run_verify ?(baseline_file = default_verify_baseline_file)
-    ?(threshold = 0.8) ?(budget_seconds = 0.5) () =
-  if not (Sys.file_exists baseline_file) then
-    {
-      threshold;
-      entries = [];
-      note =
-        Some (Printf.sprintf "baseline %s not found: skipped" baseline_file);
-    }
+let skipped g note = { title = g.title; entries = []; note = Some note }
+
+let run g =
+  if not (Sys.file_exists g.file) then
+    skipped g (Printf.sprintf "baseline %s not found: skipped" g.file)
   else
     let baselines =
-      try
-        parse_baselines
-          (In_channel.with_open_bin baseline_file In_channel.input_all)
+      try parse_baselines (In_channel.with_open_bin g.file In_channel.input_all)
       with Sys_error _ -> []
     in
     if baselines = [] then
-      {
-        threshold;
-        entries = [];
-        note =
-          Some
-            (Printf.sprintf "no baselines parsed from %s: skipped"
-               baseline_file);
-      }
+      skipped g (Printf.sprintf "no baselines parsed from %s: skipped" g.file)
     else
+      let rows = List.filter (fun r -> List.mem_assoc r.name baselines) g.rows in
       let entries =
-        List.filter_map
+        List.map
           (fun (bench, samples_per_run, measured) ->
-            match List.assoc_opt bench baselines with
-            | None -> None
-            | Some baseline ->
-                Some
-                  {
-                    bench;
-                    samples_per_run;
-                    baseline;
-                    measured;
-                    ratio = measured /. baseline;
-                  })
-          (verify_rows ~budget_seconds ())
+            let baseline = List.assoc bench baselines in
+            { bench; samples_per_run; baseline; measured; ratio = measured /. baseline })
+          (measure_rows ~budget_seconds:0.5 { g with rows })
       in
-      { threshold; entries; note = None }
+      { title = g.title; entries; note = None }
 
-let passed r = List.for_all (fun e -> e.ratio >= r.threshold) r.entries
+let passed r = List.for_all (fun e -> e.ratio >= threshold) r.entries
 
 let pp_report ppf r =
   (match r.note with
-  | Some n -> Format.fprintf ppf "bench guard: %s" n
+  | Some n -> Format.fprintf ppf "%s: %s" r.title n
   | None ->
-      Format.fprintf ppf "bench guard (fail below %.2fx baseline):" r.threshold);
+      Format.fprintf ppf "%s (fail below %.2fx baseline):" r.title threshold);
   List.iter
     (fun e ->
       Format.fprintf ppf "@.  %-18s %9.0f samples/sec vs baseline %9.0f (%.2fx)%s"
         e.bench e.measured e.baseline e.ratio
-        (if e.ratio >= r.threshold then "" else "  REGRESSION"))
+        (if e.ratio >= threshold then "" else "  REGRESSION"))
     r.entries

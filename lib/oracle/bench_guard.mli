@@ -1,105 +1,95 @@
-(** Throughput regression guard: re-measures the two hot-path
-    simulation workloads of [bench/main.ml]'s [simbench] (LMS equalizer
-    at 4000 symbols, timing recovery at 8000 samples) and compares
-    against the committed baselines in [BENCH_sim.json].
+(** Throughput regression guard: re-measures the bench rows of
+    [bench/main.ml] and compares them against the committed baselines,
+    one guard per [BENCH_*.json] file — the dual-simulation rows of
+    [simbench] ([BENCH_sim.json]) and [syncbench] ([BENCH_sync.json]),
+    the compiled-executor rows of [compilebench] ([BENCH_compile.json])
+    and the verification rows of [verifybench] ([BENCH_verify.json]).
 
     Timing is inherently machine- and load-dependent, so this guard is
     deliberately {e not} part of [dune runtest]; it runs inside
     [fxrefine check] (skippable with [--no-bench]) and fails only on a
-    drastic regression — measured throughput below
-    [threshold × baseline] (default 0.8×).  Every reported figure is
-    the {e median of three} independently timed measurements, since
-    load noise only ever slows a run down — a single preempted sample
-    must not fail the gate. *)
+    drastic regression — measured throughput below 0.8× baseline.  Every reported figure is the {e median of three}
+    independently timed measurements, since load noise only ever slows
+    a run down — a single preempted sample must not fail the gate. *)
 
 type entry = {
   bench : string;
   samples_per_run : int;
-  baseline : float;  (** the baseline file's [after] samples/sec *)
+  baseline : float;  (** the baseline file's [after] figure *)
   measured : float;
   ratio : float;  (** measured / baseline *)
 }
 
 type report = {
-  threshold : float;
+  title : string;  (** e.g. ["compiled bench guard"] *)
   entries : entry list;
   note : string option;  (** set when the guard was skipped *)
 }
 
-val default_baseline_file : string
+(** One measured row.  [prepare ()] builds the row's design once and
+    returns one timed measurement: one warm-up run, then whole-run
+    repetitions for [budget] seconds of CPU time, as
+    [(work units per run, units/sec)]. *)
+type row = {
+  name : string;  (** the baseline key in the guard's file *)
+  scenario : string;
+      (** the design measured: a {!Scenario.names} entry, or a pinned
+          {!Verify.Designs} exemplar *)
+  prepare : unit -> budget:float -> int * float;
+}
 
-(** Extract [(name, after)] pairs from the baseline JSON (naive string
-    scan; the file is machine-written by [simbench]). *)
+type guard = {
+  gate : string;  (** the [check] gate name *)
+  title : string;
+  file : string;  (** the committed baseline file *)
+  rows : row list;
+}
+
+(** Extract [(name, after)] pairs from a baseline JSON (naive string
+    scan; the files are machine-written by [bench/main.ml]). *)
 val parse_baselines : string -> (string * float) list
 
-(** [run ()] measures both workloads (three timed runs of
-    [budget_seconds] of repetitions each, default 0.5, each after one
-    warm-up run; the median is scored).  A missing or unparseable
-    baseline file yields an empty, passing report with [note] set. *)
-val run :
-  ?baseline_file:string ->
-  ?threshold:float ->
-  ?budget_seconds:float ->
-  unit ->
-  report
+(** Samples/sec of [budget] seconds of whole [reset]+[run] repetitions
+    after one warm-up run. *)
+val measure :
+  budget:float -> Refine.Flow.design -> samples_per_run:int -> float
 
-val default_compiled_baseline_file : string
+(** The [simbench] designs as [(row name, scenario, build)]: the LMS
+    equalizer at 4000 symbols and the timing-recovery loop at 8000
+    samples, both from {!Scenario}. *)
+val sim_designs :
+  (string * string * (unit -> Refine.Flow.design * int)) list
 
-(** The compiled-executor throughput rows, shared with [bench/main.ml]'s
-    [compilebench]: the extracted lms and timing flowgraphs on the
-    flat-schedule executor at batch 1 and 64, as
-    [(name, samples_per_run, lane_samples_per_sec)].  Throughput counts
-    lane-samples (steps × batch) — the quantity a batched sweep
-    consumes. *)
-val compiled_rows :
-  ?budget_seconds:float -> unit -> (string * int * float) list
+(** [BENCH_sim.json]: {!sim_designs}. *)
+val sim : guard
 
-(** {!run}, but for the compiled-executor rows against the committed
-    [BENCH_compile.json] baselines (its [after] fields).  Same skip
-    semantics on a missing/unparseable baseline file. *)
-val run_compiled :
-  ?baseline_file:string ->
-  ?threshold:float ->
-  ?budget_seconds:float ->
-  unit ->
-  report
+(** [BENCH_compile.json]: the extracted lms and timing flowgraphs on the
+    flat-schedule executor at batch 1 and 64; throughput counts
+    lane-samples (steps × batch). *)
+val compiled : guard
 
-val default_sync_baseline_file : string
+(** [BENCH_verify.json]: one whole verification run per repetition —
+    the exhaustive biquad no-overflow proof and the bounded lms
+    limit-cycle closure — in transitions/sec. *)
+val verify : guard
 
-(** Closed-synchronizer throughput rows, shared with [bench/main.ml]'s
-    [syncbench]: dual-simulation samples/sec of the ML-TED 4-PAM and
-    Gardner 2-PAM loops on the drifting-τ stimulus at 4000 symbols, as
-    [(name, samples_per_run, samples_per_sec)]. *)
-val sync_rows : ?budget_seconds:float -> unit -> (string * int * float) list
+(** [BENCH_sync.json]: the closed ML-TED 4-PAM and Gardner 2-PAM loops
+    ({!Scenario.sync}, 4000 symbols) in samples/sec. *)
+val sync : guard
 
-(** {!run}, but for the synchronizer rows against the committed
-    [BENCH_sync.json] baselines (its [after] fields).  Same skip
-    semantics on a missing/unparseable baseline file. *)
-val run_sync :
-  ?baseline_file:string ->
-  ?threshold:float ->
-  ?budget_seconds:float ->
-  unit ->
-  report
+(** Median-of-three measurement of every row, as
+    [(name, units_per_run, units_per_sec)] — what the bench harness
+    records. *)
+val measure_rows :
+  budget_seconds:float -> guard -> (string * int * float) list
 
-val default_verify_baseline_file : string
+(** Measure the rows present in the guard's baseline file (budget 0.5 s
+    per measurement) and compare.  A missing or unparseable baseline
+    file yields an empty, passing report with [note] set. *)
+val run : guard -> report
 
-(** Verification-engine throughput rows, shared with [bench/main.ml]'s
-    [verifybench]: one whole verification run per repetition (graph
-    rebuild, compile, state-space search) as
-    [(name, transitions_per_run, transitions_per_sec)] — the exhaustive
-    biquad no-overflow proof and the bounded lms limit-cycle closure. *)
-val verify_rows : ?budget_seconds:float -> unit -> (string * int * float) list
-
-(** {!run}, but for the verification rows against the committed
-    [BENCH_verify.json] baselines.  Same skip semantics on a
-    missing/unparseable baseline file. *)
-val run_verify :
-  ?baseline_file:string ->
-  ?threshold:float ->
-  ?budget_seconds:float ->
-  unit ->
-  report
+(** An empty, passing report with [note] set. *)
+val skipped : guard -> string -> report
 
 val passed : report -> bool
 val pp_report : Format.formatter -> report -> unit

@@ -1,5 +1,5 @@
 (** Chaos gate — the oracle for crash safety, enforced with real
-    [SIGKILL]s ([fxrefine check --chaos]).
+    [SIGKILL]s (the [chaos] gate of {!Gates}).
 
     Five legs: forked checkpointed sweeps are killed at seeded
     evaluation indices and resumed to byte-identical reports (crossing
@@ -73,13 +73,12 @@ type result = {
 
 type report = { jobs : int; seed : int; result : result }
 
-(** Run the gate.  [jobs] (default: derived from the host, at least 2)
-    is the parallel leg's worker count; [seed] (default 0) drives every
-    kill point, delay and corruption offset.  Forks several children
-    and runs two short daemon generations; wall-clock is a few
-    seconds.  The caller must be effectively single-threaded (gate
-    processes fork). *)
-val run : ?jobs:int -> ?seed:int -> unit -> report
+(** Run the gate.  [jobs] (at least 2, see {!Gates.jobs}) is the
+    parallel leg's worker count; [seed] drives every kill point, delay
+    and corruption offset.  Forks several children and runs two short
+    daemon generations; wall-clock is a few seconds.  The caller must
+    be effectively single-threaded (gate processes fork). *)
+val run : jobs:int -> seed:int -> report
 
 val passed : report -> bool
 val pp_report : Format.formatter -> report -> unit

@@ -18,7 +18,7 @@
     lane's node traces must equal its own graph's interpreter run, with
     and without the fault plan.
 
-    Wired into [fxrefine check --compiled]. *)
+    The [compiled] gate of {!Gates}. *)
 
 type result = {
   name : string;

@@ -4,7 +4,7 @@
     that a faulted FIR sweep quarantines deterministically and renders
     byte-identical partial reports at [jobs=1] vs [jobs=N], and that
     the [Collect] overflow policy degrades gracefully (run completes,
-    faults recorded).  Wired into [fxrefine check --faults]. *)
+    faults recorded).  The [faults] gate of {!Gates}. *)
 
 type result = {
   name : string;
@@ -18,12 +18,9 @@ type report = { results : result list }
     overflows under {!Fault.Plan.Force_raise}). *)
 val plan : unit -> Fault.Plan.t
 
-(** [max 2 (min 4 (Domain.recommended_domain_count ()))] — always ≥ 2
-    so the parallel quarantine path is exercised even on one core. *)
-val default_jobs : unit -> int
-
-(** Run the gate; [jobs] below 2 is clamped to 2. *)
-val run : ?jobs:int -> unit -> report
+(** Run the gate; [jobs] (at least 2, see {!Gates.jobs}) is the
+    parallel side of the quarantine comparison. *)
+val run : jobs:int -> report
 
 val passed : report -> bool
 val pp_report : Format.formatter -> report -> unit

@@ -7,7 +7,7 @@
     the warm run must additionally answer {e every} candidate from the
     persisted entries.  A real daemon round trip (ping → sweep → stats
     → shutdown over a Unix socket) must return that same byte-identical
-    report.  Wired into [fxrefine check --serve]. *)
+    report.  The [serve] gate of {!Gates}. *)
 
 type result = {
   candidates : int;  (** evaluated per sweep *)
@@ -22,14 +22,10 @@ type result = {
 
 type report = { jobs : int; result : result }
 
-(** [max 2 (min 4 (Domain.recommended_domain_count ()))] — the
-    parallel side always exercises ≥ 2 domains. *)
-val default_jobs : unit -> int
-
-(** Run the gate ([jobs] below 2 is clamped to 2); uses a scratch
-    directory under the system temp dir for the cache and the daemon
-    socket. *)
-val run : ?jobs:int -> unit -> report
+(** Run the gate with [jobs] (at least 2, see {!Gates.jobs}) on the
+    parallel warm side; uses a scratch directory under the system temp
+    dir for the cache and the daemon socket. *)
+val run : jobs:int -> report
 
 val passed : report -> bool
 val pp_report : Format.formatter -> report -> unit

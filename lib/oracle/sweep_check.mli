@@ -1,13 +1,13 @@
 (** Sweep-determinism gate — oracle for the parallel exploration
     engine.
 
-    Runs a small FIR sweep per strategy at [jobs=1] and [jobs=N] and
-    compares the canonical JSON reports byte-for-byte; any scheduling
-    dependence (order-sensitive merging, shared worker state) fails
-    the gate.  Wired into [fxrefine check --jobs]. *)
+    Runs a table of small sweeps — a (label, workload, generator) row
+    each — at [jobs=1] and [jobs=N] and compares the canonical JSON
+    reports byte-for-byte; any scheduling dependence (order-sensitive
+    merging, shared worker state) fails the gate. *)
 
 type result = {
-  strategy : string;
+  label : string;
   jobs : int;  (** the parallel side's worker count *)
   candidates : int;  (** evaluated by each side *)
   identical : bool;  (** sequential and parallel JSON byte-equal *)
@@ -15,17 +15,17 @@ type result = {
 
 type report = { results : result list }
 
-(** The strategies the gate exercises: grid, grid-63 (a 63-candidate
-    grid, not a multiple of {!Sweep.Pool.lane_width}), bisect,
-    pareto. *)
-val strategies : string list
+(** [sweep ~jobs label] runs the row [label] once — the FIR workload
+    under [grid], [grid-63] (a 63-candidate grid, not a multiple of
+    {!Sweep.Pool.lane_width}), [bisect] or [pareto], or the closed
+    synchronizer under a small grid ([sync]: [n_symbols] 48, f 6–8,
+    seeds 0 and 1) — through the counting sink when [counters].
+    Raises [Invalid_argument] on an unknown label. *)
+val sweep : jobs:int -> ?counters:bool -> string -> Sweep.Report.t
 
-(** [max 2 (min 4 (Domain.recommended_domain_count ()))] — always ≥ 2
-    so the parallel code path is exercised even on one core. *)
-val default_jobs : unit -> int
-
-(** Run the gate; [jobs] below 2 is clamped to 2. *)
-val run : ?jobs:int -> unit -> report
+(** Run every row at [jobs=1] and at [jobs] (at least 2, see
+    {!Gates.jobs}). *)
+val run : jobs:int -> report
 
 val passed : report -> bool
 val pp_report : Format.formatter -> report -> unit

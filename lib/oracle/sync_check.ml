@@ -13,10 +13,10 @@
       refined with saturation, and the NCO phase — the "D signal inside
       of NCO" whose error monitoring is meaningless under
       decision-steered feedback — carries the [error()] overrule
-      ({!Refine.Decision.Overruled});
-    - the synchronizer sweep workload renders a byte-identical
-      {!Sweep.Report} at [jobs=1] and [jobs=N] (the data-dependent
-      strobe/hold control flow must not leak scheduling). *)
+      ({!Refine.Decision.Overruled}).
+
+    The synchronizer sweep's jobs-independence is a row of
+    {!Sweep_check}. *)
 
 type outcome = {
   float_mer_db : float;  (** float loop, best-lag MER after transient *)
@@ -31,80 +31,19 @@ type outcome = {
   nco_phase_overruled : bool;  (** §6.1 [error()] visible on [nco_eta] *)
 }
 
-type sweep_result = {
-  jobs : int;
-  candidates : int;
-  identical : bool;  (** jobs=1 and jobs=N reports byte-equal *)
-}
-
-type report = { outcome : outcome; sweep : sweep_result }
-
-(* Mirrors {!Workloads.build_sync} (same stimulus, ranges and input
-   type) but records the output channel and keeps the synchronizer
-   handle, which the conformance workload does not expose. *)
-let build ~n_symbols () =
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed:463 in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols ~m:4 ~tau0:0.3
-      ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8 ~overflow:Fixpt.Overflow_mode.Saturate
-      ()
-  in
-  let sy =
-    Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Ml ~m:4 ~x_dtype ~input
-      ~output ()
-  in
-  Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-1.6) 1.6;
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Synchronizer.nco sy)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "mlted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_dout") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Synchronizer.run sy ~samples:n_samples);
-    }
-  in
-  (design, sy, sent, output)
-
 let mer_of ~sent ~output =
   let received = Array.of_list (Sim.Channel.recorded output) in
   fst (Dsp.Pam.best_mer ~skip:300 ~sent ~received ())
 
-let refine_outcome () =
-  let design, sy, sent, output = build ~n_symbols:700 () in
+let run () =
+  let sc = Scenario.sync ~n_symbols:700 ~record:true () in
+  let design = sc.Scenario.design and sy = sc.Scenario.block in
+  let sent = sc.Scenario.sent () and output = sc.Scenario.output in
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();
   let float_mer_db = mer_of ~sent ~output in
   let float_rate_err = Dsp.Synchronizer.strobe_rate_error sy in
-  (* §6.1: the NCO phase register's float/fixed error monitoring is
-     meaningless under decision-steered feedback — the designer overrules
-     it with [error()] before refinement instead of waiting for the
-     divergence detector (the loop is self-correcting, so the spurious
-     monitor reading may stay formally bounded while still being
-     noise).  The annotation survives {!Sim.Env.reset}. *)
-  let auto_error_lsb = -8 in
-  let h = Refine.Lsb_rules.error_halfwidth_of_lsb auto_error_lsb in
-  Sim.Signal.error (Dsp.Nco.phase (Dsp.Synchronizer.nco sy)) h;
-  let config =
-    {
-      Refine.Flow.default_config with
-      Refine.Flow.auto_error_lsb;
-      error_overrides = [ ("nco_eta", h) ];
-    }
-  in
+  let config = Scenario.overrule_nco_phase sc Refine.Flow.default_config in
   let result = Refine.Flow.refine ~config ~sqnr_signal:"out" design in
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();
@@ -144,49 +83,18 @@ let refine_outcome () =
     nco_phase_overruled;
   }
 
-(* Same shape as {!Sweep_check.sweep}: small grid, two stimulus seeds,
-   sequential vs parallel report byte-equality.  The synchronizer
-   workload has no compiled fast path (data-dependent control flow), so
-   this also pins the interpreter-only pool path. *)
-let sweep_determinism ~jobs =
-  (* generators are stateful wave protocols — build a fresh
-     workload/generator pair per side *)
-  let sweep ~jobs =
-    let workload = Sweep.Workload.sync ~n_symbols:48 () in
-    let specs = workload.Sweep.Workload.specs in
-    let generator =
-      Sweep.Generator.grid ~specs ~f_min:6 ~f_max:8 ~seeds:[ 0; 1 ]
-    in
-    Sweep.Pool.run ~jobs ~workload ~generator ()
-  in
-  let sequential = sweep ~jobs:1 in
-  let parallel = sweep ~jobs in
-  {
-    jobs;
-    candidates = List.length sequential.Sweep.Report.entries;
-    identical = Sweep.Report.to_json sequential = Sweep.Report.to_json parallel;
-  }
-
-let default_jobs () = max 2 (min 4 (Domain.recommended_domain_count ()))
-
-let run ?jobs () =
-  let jobs = match jobs with Some j -> max 2 j | None -> default_jobs () in
-  { outcome = refine_outcome (); sweep = sweep_determinism ~jobs }
-
 (* Lock thresholds: rate within 1% of 1/sps and refined MER within 2 dB
    of float (ISSUE acceptance); the 15 dB floor is far above a 4-PAM
    slicing threshold yet far below the ~24 dB a locked loop reaches —
    it only rejects a loop that never locked. *)
-let passed t =
-  t.outcome.float_mer_db >= 15.0
-  && t.outcome.float_rate_err <= 0.01
-  && t.outcome.refined_rate_err <= 0.01
-  && t.outcome.mer_delta_db <= 2.0
-  && t.outcome.integrator_saturating && t.outcome.integrator_case_b
-  && t.outcome.nco_phase_overruled && t.sweep.identical
+let passed o =
+  o.float_mer_db >= 15.0
+  && o.float_rate_err <= 0.01
+  && o.refined_rate_err <= 0.01
+  && o.mer_delta_db <= 2.0
+  && o.integrator_saturating && o.integrator_case_b && o.nco_phase_overruled
 
-let pp_report ppf t =
-  let o = t.outcome in
+let pp_report ppf o =
   Format.fprintf ppf "synchronizer (ML-TED, 4-PAM, drifting tau):@.";
   Format.fprintf ppf "  float    mer=%.2f dB rate_err=%.4f@." o.float_mer_db
     o.float_rate_err;
@@ -198,7 +106,4 @@ let pp_report ppf t =
   Format.fprintf ppf "  lf_integ %s case_b=%b saturating=%b@."
     o.integrator_dtype o.integrator_case_b o.integrator_saturating;
   Format.fprintf ppf "  nco_eta  error() overrule observed=%b@."
-    o.nco_phase_overruled;
-  Format.fprintf ppf "  sweep    %d candidates, jobs 1 vs %d: %s@."
-    t.sweep.candidates t.sweep.jobs
-    (if t.sweep.identical then "identical" else "DIVERGED")
+    o.nco_phase_overruled

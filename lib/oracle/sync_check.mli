@@ -1,7 +1,7 @@
 (** Synchronizer gate: the closed ML-TED timing loop must lock in float,
     stay within 2 dB MER after §6.1 refinement with the saturating
     integrator and the [error()]-overruled NCO phase visible in the
-    decisions, and sweep deterministically across worker counts. *)
+    decisions.  Its sweep determinism is a row of {!Sweep_check}. *)
 
 type outcome = {
   float_mer_db : float;
@@ -16,13 +16,9 @@ type outcome = {
   nco_phase_overruled : bool;
 }
 
-type sweep_result = { jobs : int; candidates : int; identical : bool }
-type report = { outcome : outcome; sweep : sweep_result }
+(** Build, lock, refine and re-lock the registry's synchronizer
+    ({!Scenario.sync}, 700 symbols). *)
+val run : unit -> outcome
 
-(** Build, lock, refine, re-lock and sweep the synchronizer workload.
-    [jobs] (default [min 4 (recommended_domain_count)], at least 2) is
-    the parallel side of the determinism comparison. *)
-val run : ?jobs:int -> unit -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val passed : outcome -> bool
+val pp_report : Format.formatter -> outcome -> unit

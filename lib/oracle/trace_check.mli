@@ -15,16 +15,12 @@ type result = {
 
 type report = { results : result list }
 
-(** The gate's strategy list (grid, bisect, pareto). *)
+(** The {!Sweep_check} rows the gate replays (grid, bisect, pareto). *)
 val strategies : string list
 
-(** Parallel worker count used when [?jobs] is not given: the
-    recommended domain count clamped to [\[2, 4\]]. *)
-val default_jobs : unit -> int
-
-(** Run the gate ([jobs] below 2 is raised to 2 — comparing jobs=1
-    against itself would prove nothing). *)
-val run : ?jobs:int -> unit -> report
+(** Run the gate at [jobs=1] vs [jobs] (at least 2 — comparing jobs=1
+    against itself would prove nothing; see {!Gates.jobs}). *)
+val run : jobs:int -> report
 
 val passed : report -> bool
 val pp_report : Format.formatter -> report -> unit

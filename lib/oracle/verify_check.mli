@@ -1,5 +1,5 @@
 (** Verification-oracle gate — wires {!Verify.Engine} into the
-    conformance machinery ([fxrefine check --verify]).
+    conformance machinery (the [verify] gate of {!Gates}).
 
     Over the six conformance workloads' extracted flowgraphs plus the
     two pinned biquad exemplars ({!Verify.Designs}), for both

@@ -156,84 +156,61 @@ let build_fir () =
     vcd = (fun () -> !(tk.tk_vcd));
   }
 
-(* --- LMS equalizer: the motivational example --------------------------- *)
+(* --- registry designs: LMS, timing recovery, synchronizer -------------- *)
 
-(* Snap [v] up to the next multiple of [grid] (explicit range endpoints
-   stay representable, so quantization cannot push a committed value
-   outside the annotation). *)
-let snap_up grid v = Float.of_int (int_of_float (ceil (v /. grid))) *. grid
-
-let build_lms () =
-  let name = "lms" in
-  let n_symbols = 1200 in
-  let rng = Stats.Rng.create ~seed:2024 in
-  let stimulus, _sent =
-    Dsp.Channel_model.isi_awgn ~noise_sigma:0.02 ~rng ~n_symbols ()
-  in
-  let peak = Dsp.Channel_model.peak stimulus ~n:n_symbols in
-  let r = Float.max 1.5 (snap_up 0.03125 (peak +. 0.03125)) in
-  let env = Sim.Env.create ~seed:11 () in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create "decisions" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:7 ~f:5
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let eq = Dsp.Lms_equalizer.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Lms_equalizer.x eq) (-.r) r;
-  let probe = "w" in
-  let probe_sig = Sim.Env.find_exn env probe in
+(* A conformance workload over a registry scenario: the monitored run
+   clocks the scenario's [step] and samples the probe each cycle;
+   [vcd_signals probe] lists the traced signals. *)
+let of_scenario ~name ~vcd_signals ?graph ~stat_tolerance
+    (sc : _ Scenario.t) =
+  let env = sc.Scenario.env in
+  let probe_sig = Sim.Env.find_exn env sc.Scenario.probe in
   let tk = tracker () in
-  let vcd_signals =
-    [
-      Dsp.Lms_equalizer.x eq;
-      probe_sig;
-      Dsp.Lms_equalizer.b eq;
-      Dsp.Lms_equalizer.y eq;
-    ]
-  in
   let run () =
-    with_vcd tk ~name ~signals:vcd_signals (fun sample ->
-        Sim.Engine.run env ~cycles:n_symbols (fun cycle ->
-            Dsp.Lms_equalizer.step eq;
+    with_vcd tk ~name ~signals:(vcd_signals probe_sig) (fun sample ->
+        Sim.Engine.run env ~cycles:sc.Scenario.cycles (fun cycle ->
+            sc.Scenario.step ();
             observe tk probe_sig;
             sample cycle))
   in
-  (* no [b_range]: the analytical twin must explode on the adaptation
-     loop (b, w, ...), exactly as the paper's first iteration reports;
-     the bounded feed-forward part (x, d, c, v) stays comparable *)
-  let graph = Dsp.Lms_equalizer.to_sfg ~input_range:(-.r, r) () in
   let design =
     {
       Refine.Flow.env;
       reset =
         (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output;
+          sc.Scenario.design.Refine.Flow.reset ();
           reset_tracker tk);
       run;
     }
   in
-  let extract_graph () =
-    Sim.Extract.graph env ~step:(fun () -> Dsp.Lms_equalizer.step eq) ()
-  in
   {
     env;
     workload = name;
-    probe;
+    probe = sc.Scenario.probe;
     run;
-    graph = Some graph;
-    extract_graph = Some extract_graph;
-    divergence_bound = None (* decision-feedback loop: no closed form *);
+    graph;
+    extract_graph = Some (fun () -> sc.Scenario.extract ());
+    divergence_bound = None (* feedback loops: no closed form *);
     max_divergence = (fun () -> !(tk.tk_div));
     sqnr = tk.tk_sqnr;
     predicted_sqnr_db = None;
     sqnr_tolerance_db = 0.0;
-    stat_tolerance = 0.25;
+    stat_tolerance;
     design = Some design;
     vcd = (fun () -> !(tk.tk_vcd));
   }
+
+(* The motivational example.  No [b_range] on the analytical twin: it
+   must explode on the adaptation loop (b, w, ...), exactly as the
+   paper's first iteration reports; the bounded feed-forward part (x,
+   d, c, v) stays comparable. *)
+let build_lms () =
+  let sc = Scenario.lms ~n_symbols:1200 () in
+  let eq = sc.Scenario.block and r = sc.Scenario.input_range in
+  of_scenario ~name:"lms" ~stat_tolerance:0.25
+    ~graph:(Dsp.Lms_equalizer.to_sfg ~input_range:(-.r, r) ())
+    ~vcd_signals:(fun probe -> Dsp.Lms_equalizer.[ x eq; probe; b eq; y eq ])
+    sc
 
 (* --- CORDIC rotator: deep feed-forward --------------------------------- *)
 
@@ -307,151 +284,20 @@ let build_cordic () =
 (* --- PAM timing recovery: the feedback-heavy complex example ----------- *)
 
 let build_timing () =
-  let name = "timing" in
-  let n_symbols = 700 in
-  let rng = Stats.Rng.create ~seed:99 in
-  let stimulus, _sent, n_samples =
-    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols ~tau:0.3
-      ~noise_sigma:0.01 ()
-  in
-  let peak = Dsp.Channel_model.peak stimulus ~n:n_samples in
-  let r = Float.max 1.6 (snap_up 0.00390625 (peak +. 0.00390625)) in
-  let env = Sim.Env.create ~seed:5 () in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create "symbols" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let tr = Dsp.Timing_recovery.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Timing_recovery.input_signal tr) (-.r) r;
-  (* the paper's knowledge-based saturation choices (§6.1) *)
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Timing_recovery.nco tr)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "ted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  let probe = "out" in
-  let probe_sig = Sim.Env.find_exn env probe in
-  let tk = tracker () in
-  let run () =
-    with_vcd tk ~name
-      ~signals:[ Dsp.Timing_recovery.input_signal tr; probe_sig ]
-      (fun sample ->
-        Sim.Engine.run env ~cycles:n_samples (fun cycle ->
-            Dsp.Timing_recovery.step tr;
-            observe tk probe_sig;
-            sample cycle))
-  in
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output;
-          reset_tracker tk);
-      run;
-    }
-  in
-  let extract_graph () =
-    Sim.Extract.graph env ~step:(fun () -> Dsp.Timing_recovery.step tr) ()
-  in
-  {
-    env;
-    workload = name;
-    probe;
-    run;
-    graph = None;
-    extract_graph = Some extract_graph;
-    divergence_bound = None (* two nested feedback loops *);
-    max_divergence = (fun () -> !(tk.tk_div));
-    sqnr = tk.tk_sqnr;
-    predicted_sqnr_db = None;
-    sqnr_tolerance_db = 0.0;
-    stat_tolerance = 0.25;
-    design = Some design;
-    vcd = (fun () -> !(tk.tk_vcd));
-  }
+  let sc = Scenario.timing ~n_symbols:700 () in
+  of_scenario ~name:"timing" ~stat_tolerance:0.25
+    ~vcd_signals:(fun probe ->
+      [ Dsp.Timing_recovery.input_signal sc.Scenario.block; probe ])
+    sc
 
 (* --- Closed ML-TED synchronizer: drifting-tau M-PAM, decision-directed - *)
 
 let build_sync () =
-  let name = "sync" in
-  let n_symbols = 700 in
-  let rng = Stats.Rng.create ~seed:463 in
-  let stimulus, _sent, n_samples =
-    Dsp.Channel_model.drifting_tau_pam ~rng ~n_symbols ~m:4 ~tau0:0.3
-      ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ()
-  in
-  let peak = Dsp.Channel_model.peak stimulus ~n:n_samples in
-  let r = Float.max 1.6 (snap_up 0.00390625 (peak +. 0.00390625)) in
-  let env = Sim.Env.create ~seed:17 () in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create "symbols" in
-  let x_dtype =
-    Fixpt.Dtype.make "T_input" ~n:10 ~f:8
-      ~overflow:Fixpt.Overflow_mode.Saturate ()
-  in
-  let sy =
-    Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Ml ~m:4 ~x_dtype
-      ~input ~output ()
-  in
-  Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-.r) r;
-  (* knowledge-based saturation choices, same §6.1 reasoning as the
-     Gardner loop, plus the ML-TED's own signals: the derivative
-     matched filter swings harder than the interpolant, and the
-     decision is on the constellation by construction *)
-  Sim.Signal.range (Dsp.Nco.mu (Dsp.Synchronizer.nco sy)) 0.0 1.0;
-  Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-  Sim.Signal.range (Sim.Env.find_exn env "mlted_err") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-  Sim.Signal.range (Sim.Env.find_exn env "ip_dout") (-4.0) 4.0;
-  Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-  let probe = "out" in
-  let probe_sig = Sim.Env.find_exn env probe in
-  let tk = tracker () in
-  let run () =
-    with_vcd tk ~name
-      ~signals:[ Dsp.Synchronizer.input_signal sy; probe_sig ]
-      (fun sample ->
-        Sim.Engine.run env ~cycles:n_samples (fun cycle ->
-            Dsp.Synchronizer.step sy;
-            observe tk probe_sig;
-            sample cycle))
-  in
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output;
-          reset_tracker tk);
-      run;
-    }
-  in
-  let extract_graph () =
-    Sim.Extract.graph env ~step:(fun () -> Dsp.Synchronizer.step sy) ()
-  in
-  {
-    env;
-    workload = name;
-    probe;
-    run;
-    graph = None;
-    extract_graph = Some extract_graph;
-    divergence_bound = None (* nested feedback loops, like timing *);
-    max_divergence = (fun () -> !(tk.tk_div));
-    sqnr = tk.tk_sqnr;
-    predicted_sqnr_db = None;
-    sqnr_tolerance_db = 0.0;
-    stat_tolerance = 0.25;
-    design = Some design;
-    vcd = (fun () -> !(tk.tk_vcd));
-  }
+  let sc = Scenario.sync ~n_symbols:700 () in
+  of_scenario ~name:"sync" ~stat_tolerance:0.25
+    ~vcd_signals:(fun probe ->
+      [ Dsp.Synchronizer.input_signal sc.Scenario.block; probe ])
+    sc
 
 (* --- DDC: NCO + CORDIC mixer + CIC decimators -------------------------- *)
 

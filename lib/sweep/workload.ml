@@ -34,8 +34,6 @@ type t = {
 
 (* --- the FIR workload ----------------------------------------------------- *)
 
-let fir_coefs = [| 0.1; 0.25; 0.3; 0.25; 0.1 |]
-
 (* int_bits budgets: x ∈ ±1.2 needs 2 bits (sign + one integer bit);
    the accumulator chain peaks at Σ|c|·max|x| = 1.0·1.2 so 3 bits keep
    saturation marginal rather than catastrophic. *)
@@ -47,60 +45,35 @@ let fir_specs =
         { Candidate.signal = Printf.sprintf "v[%d]" (i + 1); int_bits = 3 })
   @ [ { Candidate.signal = "out"; int_bits = 3 } ]
 
+(* Each candidate's stimulus stream is a pure function of its stim_seed:
+   generator seed [12 + 7919 * stim_seed]. *)
+let fir_seed s = 12 + (7919 * s)
+
 let fir ?(n = 512) () =
   let make_instance () =
-    let env = Sim.Env.create ~seed:3 () in
-    let rng = Stats.Rng.create ~seed:12 in
-    (* consumed by [design.reset]: each candidate's stimulus stream is a
-       pure function of its stim_seed *)
-    let cur_seed = ref 0 in
-    let x = Sim.Signal.create env "x" in
-    Sim.Signal.range x (-1.2) 1.2;
-    let f = Dsp.Fir.create env ~coefs:fir_coefs () in
-    let out = Sim.Signal.create env "out" in
-    let design =
-      {
-        Refine.Flow.env;
-        reset =
-          (fun () ->
-            Sim.Env.reset env;
-            Stats.Rng.reseed rng ~seed:(12 + (7919 * !cur_seed)));
-        run =
-          (fun () ->
-            Sim.Engine.run env ~cycles:n (fun _ ->
-                let open Sim.Ops in
-                x <-- Sim.Value.of_float (Stats.Rng.uniform_sym rng 1.0);
-                out <-- Dsp.Fir.step f !!x));
-      }
-    in
-    let baseline = Sim.Env.snapshot env in
+    let sc = Scenario.fir ~n () in
+    let baseline = Sim.Env.snapshot sc.Scenario.env in
     let compiled =
       Some
         {
           Refine.Eval.extract =
-            (fun () ->
-              Sim.Extract.graph env ~outputs:[ "out" ]
-                ~step:(fun () ->
-                  let open Sim.Ops in
-                  x <-- Sim.Value.of_float (Stats.Rng.uniform_sym rng 1.0);
-                  out <-- Dsp.Fir.step f !!x)
-                ());
+            (fun () -> sc.Scenario.extract ~outputs:[ "out" ] ());
           cycles = n;
           stimulus =
             (fun ~seed ->
-              (* the same create/reseed protocol as [design.reset], so
-                 sample [step] is bit-identical to what the clock-true
-                 run would feed [x] *)
-              let srng = Stats.Rng.create ~seed:12 in
-              Stats.Rng.reseed srng ~seed:(12 + (7919 * seed));
-              let buf =
-                Array.init n (fun _ -> Stats.Rng.uniform_sym srng 1.0)
-              in
+              (* the stream the clock-true run would feed [x] *)
+              let buf = Scenario.uniform_samples ~seed:(fir_seed seed) n in
               fun name step ->
                 if String.equal name "x_in" then buf.(step) else 0.0);
         }
     in
-    { env; design; baseline; set_seed = (fun s -> cur_seed := s); compiled }
+    {
+      env = sc.Scenario.env;
+      design = sc.Scenario.design;
+      baseline;
+      set_seed = (fun s -> sc.Scenario.reseed (fir_seed s));
+      compiled;
+    }
   in
   { name = "fir"; probe = "out"; specs = fir_specs; make_instance }
 
@@ -123,55 +96,27 @@ let sync_specs =
     { Candidate.signal = "out"; int_bits = 2 };
   ]
 
-(* A small drifting-tau PAM-4 acquisition run per candidate.  The
-   feedback loop's OCaml-level control flow (strobe/hold, the sliced
-   decision) is data-dependent, so a frozen one-cycle extraction is not
-   clock-true for it: [compiled] stays [None] and every candidate is
-   evaluated on the clock-true interpreter (same reasoning as the
-   fault wrapper stripping compiled support). *)
+let sync_seed s = 31 + (7919 * s)
+
+(* A small drifting-tau PAM-4 acquisition run per candidate, its
+   stimulus regenerated per stim_seed — hence the input range of ±2.0
+   rather than the fixed stimulus's ±1.6.  The feedback loop's
+   OCaml-level control flow (strobe/hold, the sliced decision) is
+   data-dependent, so a frozen one-cycle extraction is not clock-true
+   for it: [compiled] stays [None] and every candidate is evaluated on
+   the clock-true interpreter (same reasoning as the fault wrapper
+   stripping compiled support). *)
 let sync ?(n_symbols = 160) () =
-  let sps = 2 and m = 4 in
   let make_instance () =
-    let env = Sim.Env.create ~seed:11 () in
-    let cur_seed = ref 0 in
-    let n_samples = n_symbols * sps in
-    let stim = ref (fun (_ : int) -> 0.0) in
-    let regen () =
-      let rng = Stats.Rng.create ~seed:(31 + (7919 * !cur_seed)) in
-      let s, _sent, _n =
-        Dsp.Channel_model.drifting_tau_pam ~sps ~m ~tau0:0.3
-          ~tau_drift:1e-4 ~phase:0.05 ~noise_sigma:0.01 ~rng ~n_symbols ()
-      in
-      stim := s
-    in
-    regen ();
-    let input = Sim.Channel.of_fun "rx" (fun n -> !stim n) in
-    let output = Sim.Channel.create "symbols" in
-    let sy =
-      Dsp.Synchronizer.create env ~ted:Dsp.Synchronizer.Ml ~m ~sps ~input
-        ~output ()
-    in
-    Sim.Signal.range (Dsp.Synchronizer.input_signal sy) (-2.0) 2.0;
-    Sim.Signal.range (Dsp.Nco.mu (Dsp.Synchronizer.nco sy)) 0.0 1.0;
-    Sim.Signal.range (Sim.Env.find_exn env "lf_lferr") (-0.25) 0.25;
-    Sim.Signal.range (Sim.Env.find_exn env "mlted_err") (-4.0) 4.0;
-    Sim.Signal.range (Sim.Env.find_exn env "ip_out") (-2.0) 2.0;
-    Sim.Signal.range (Sim.Env.find_exn env "ip_dout") (-4.0) 4.0;
-    Sim.Signal.range (Sim.Env.find_exn env "out") (-2.0) 2.0;
-    let design =
-      {
-        Refine.Flow.env;
-        reset =
-          (fun () ->
-            Sim.Env.reset env;
-            Sim.Channel.clear input;
-            Sim.Channel.clear output;
-            regen ());
-        run = (fun () -> Dsp.Synchronizer.run sy ~samples:n_samples);
-      }
-    in
-    let baseline = Sim.Env.snapshot env in
-    { env; design; baseline; set_seed = (fun s -> cur_seed := s); compiled = None }
+    let sc = Scenario.sync ~n_symbols ~seed:(sync_seed 0) ~input_range:2.0 () in
+    let baseline = Sim.Env.snapshot sc.Scenario.env in
+    {
+      env = sc.Scenario.env;
+      design = sc.Scenario.design;
+      baseline;
+      set_seed = (fun s -> sc.Scenario.reseed (sync_seed s));
+      compiled = None;
+    }
   in
   { name = "sync"; probe = "out"; specs = sync_specs; make_instance }
 

@@ -3,37 +3,15 @@
 #   1. full build (libs, tests, benches, examples);
 #   2. the deterministic test suites (unit + conformance);
 #   3. API docs (odoc), when the toolchain has odoc installed;
-#   4. the conformance gate: differential quantization oracle,
-#      metamorphic workload invariants, golden traces, the parallel
-#      sweep determinism gate (jobs=1 vs jobs=N byte-identical), the
-#      trace-determinism gate (sweep counters JSON byte-identical for
-#      any --jobs; counting sink observer-neutral), the fault-injection
-#      gate (--faults: schedule replay, faulted-sweep quarantine
-#      determinism, collect-policy degradation), the compiled-executor
-#      gate (--compiled: flat-schedule executor byte-identical to the
-#      interpreter on every workload graph, batched and under fault
-#      replay; sweep metric parity; BENCH_compile.json throughput
-#      guard), the verification-oracle gate (--verify: prove/refute
-#      no-overflow and no-limit-cycle on every workload flowgraph,
-#      range-analysis soundness cross-check, counterexample stimuli
-#      pinned as golden files and replayed through both executors;
-#      BENCH_verify.json throughput guard), the cache/daemon gate
-#      (--serve: no-cache vs cold vs warm vs warm-parallel sweep
-#      reports byte-identical, warm hit coverage, daemon round-trip
-#      byte-equal to the local report), the synchronizer gate (--sync:
-#      the closed ML-TED loop locks on drifting-tau 4-PAM, stays
-#      within 2 dB MER after the §6.1 refinement with the saturating
-#      integrator and error()-overruled NCO phase visible in the
-#      decisions, sweeps jobs-independently; BENCH_sync.json
-#      throughput guard), the chaos gate (--chaos: forked sweeps and
-#      daemons SIGKILLed at seeded points mid-wave and mid-job, then
-#      resumed from the wave/intent journals and required
-#      byte-identical to an undisturbed reference; full CRC scrub of
-#      a deliberately corrupted cache), and the bench regression
-#      guard (wall-clock, so deliberately NOT part of `dune
-#      runtest`);
-#   5. a duplication guard: the atomic durable write (fsync + rename)
-#      lives only in lib/durable/, so no store grows its own copy again;
+#   4. the conformance gate: one `fxrefine check`, which runs every
+#      gate of the ordered table in lib/oracle/gates.ml (see
+#      `Oracle.Gates.all` for the list and docs/CLI.md#check), the
+#      wall-clock bench guards included (deliberately NOT part of
+#      `dune runtest`);
+#   5. duplication guards: the atomic durable write (fsync + rename)
+#      lives only in lib/durable/, and the looped example designs are
+#      built only by the scenario registry (lib/scenario/), so neither
+#      grows a second copy again;
 #   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
@@ -78,18 +56,21 @@ if command -v odoc >/dev/null 2>&1; then
 else
   echo "check.sh: odoc not installed, skipping 'dune build @doc'"
 fi
-with_timeout 900 dune exec bin/fxrefine.exe -- check --faults
-with_timeout 900 dune exec bin/fxrefine.exe -- check --compiled
-with_timeout 900 dune exec bin/fxrefine.exe -- check --verify
-with_timeout 900 dune exec bin/fxrefine.exe -- check --serve
-with_timeout 900 dune exec bin/fxrefine.exe -- check --sync
 # Hard timeout: the chaos gate SIGKILLs its own children, but a hung
 # resume or a daemon that never drains must fail the check, not hang it.
-with_timeout 900 dune exec bin/fxrefine.exe -- check --chaos --no-bench --per-combo 1
+with_timeout 900 dune exec bin/fxrefine.exe -- check
 # One durable-write implementation: every store goes through Durable.
 if grep -rnE 'Unix\.fsync|Sys\.rename' lib bin --include='*.ml' --include='*.mli' \
   | grep -v '^lib/durable/'; then
   echo "check.sh: Unix.fsync/Sys.rename outside lib/durable/ (write through Durable.write)" >&2
+  exit 1
+fi
+# One declaration per design: the looped examples are built only by the
+# scenario registry (tests stay exempt).
+if grep -rnE 'Dsp\.(Synchronizer|Lms_equalizer|Timing_recovery)\.create' lib bin bench \
+  --include='*.ml' --include='*.mli' \
+  | grep -vE '^lib/(dsp|scenario)/'; then
+  echo "check.sh: a looped design built outside lib/scenario/ (build it through Scenario)" >&2
   exit 1
 fi
 with_timeout 60 sh scripts/check_links.sh

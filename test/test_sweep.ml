@@ -186,6 +186,27 @@ let test_pool_jobs_deterministic () =
   check string_t "jobs=1 and jobs=2 byte-identical"
     (Sweep.Report.to_json r1) (Sweep.Report.to_json r2)
 
+(* Pinned report bytes: the MD5 of the canonical JSON, recorded before
+   the sweep workloads moved onto the scenario registry.  Jobs 1 vs N
+   compares two runs of one build; this catches a change in a sweep
+   workload's stimulus, ranges or probe across commits. *)
+let pinned_digest ~workload ~f_min ~f_max digest () =
+  let generator =
+    Sweep.Generator.grid ~specs:workload.Sweep.Workload.specs ~f_min ~f_max
+      ~seeds:[ 0; 1 ]
+  in
+  let r = Sweep.Pool.run ~jobs:1 ~workload ~generator () in
+  check string_t "report MD5" digest
+    (Digest.to_hex (Digest.string (Sweep.Report.to_json r)))
+
+let test_fir_report_pinned =
+  pinned_digest ~workload:(Sweep.Workload.fir ~n:128 ()) ~f_min:4 ~f_max:7
+    "ca82043cfb54baa70ca6026d64a2a7fa"
+
+let test_sync_report_pinned =
+  pinned_digest ~workload:(Sweep.Workload.sync ~n_symbols:48 ()) ~f_min:6
+    ~f_max:8 "a385bbfc05e5335ad05ce1c38c6a0e95"
+
 let test_pool_budget () =
   let workload = Sweep.Workload.fir ~n:64 () in
   let generator =
@@ -450,6 +471,8 @@ let suite =
       Alcotest.test_case "pareto front" `Quick test_pareto_front;
       Alcotest.test_case "pool jobs determinism" `Quick
         test_pool_jobs_deterministic;
+      Alcotest.test_case "fir report pinned" `Quick test_fir_report_pinned;
+      Alcotest.test_case "sync report pinned" `Quick test_sync_report_pinned;
       Alcotest.test_case "pool budget" `Quick test_pool_budget;
       Alcotest.test_case "pool sqnr monotone" `Quick test_pool_sqnr_monotone;
       Alcotest.test_case "checkpoint resume identical" `Quick
