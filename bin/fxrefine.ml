@@ -326,11 +326,93 @@ let quantize_cmd =
     (Cmd.info "quantize" ~doc:"Quantize a value through a fixed-point type.")
     Term.(const run_quantize $ value_t $ type_t $ n_t $ f_t $ sat_t $ floor_t)
 
+(* --- the sweep job: one set of flags for sweep, faultsim and submit ---- *)
+
+(* [--workload --strategy --f-min --f-max --seeds --jobs] as a
+   {!Sweep.Job.t} with no budget, bisect's 40 dB target and no timeout;
+   [budgeted] adds [--budget] and [--target-db].  [strategies] and
+   [f_range] are the only per-command differences. *)
+let job_t ?(strategies = Sweep.Job.strategies) ?(f_range = (2, 10)) () =
+  let workload_t =
+    Arg.(
+      value & opt string "fir"
+      & info [ "workload" ] ~doc:"Built-in workload to explore.")
+  in
+  let strategy_t =
+    let names = List.rev_map (Printf.sprintf "\\$(b,%s)") strategies in
+    let doc =
+      match names with
+      | last :: (_ :: _ as rest) ->
+          String.concat ", " (List.rev rest) ^ " or " ^ last
+      | _ -> String.concat "" names
+    in
+    Arg.(
+      value & opt string "grid"
+      & info [ "strategy" ] ~doc:("Search strategy: " ^ doc ^ "."))
+  in
+  let f_min_t =
+    Arg.(
+      value & opt int (fst f_range)
+      & info [ "f-min" ] ~doc:"Smallest fractional width.")
+  in
+  let f_max_t =
+    Arg.(
+      value & opt int (snd f_range)
+      & info [ "f-max" ] ~doc:"Largest fractional width.")
+  in
+  let seeds_t =
+    Arg.(
+      value & opt int 2
+      & info [ "seeds" ] ~doc:"Stimulus seeds per wordlength (0..N-1).")
+  in
+  let jobs_t =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~doc:"Worker domains (1 = sequential).")
+  in
+  Term.(
+    const (fun workload strategy f_min f_max seeds jobs ->
+        {
+          Sweep.Job.workload;
+          strategy;
+          f_min;
+          f_max;
+          seeds;
+          jobs;
+          budget = None;
+          target_db = 40.0;
+          timeout_s = None;
+        })
+    $ workload_t $ strategy_t $ f_min_t $ f_max_t $ seeds_t $ jobs_t)
+
+let budgeted job_t =
+  let budget_t =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "budget" ] ~doc:"Cap on the number of evaluated candidates.")
+  in
+  let target_t =
+    Arg.(
+      value & opt float 40.0
+      & info [ "target-db" ] ~doc:"SQNR target for \\$(b,bisect).")
+  in
+  Term.(
+    const (fun j budget target_db -> { j with Sweep.Job.budget; target_db })
+    $ job_t $ budget_t $ target_t)
+
+(* A job {!Sweep.Job.resolve} rejects is a usage error: one line, exit 1. *)
+let resolve_or_exit ?strategies job =
+  match Sweep.Job.resolve ?strategies job with
+  | Ok resolved -> resolved
+  | Error e ->
+      Format.eprintf "%s@." e;
+      exit 1
+
 (* --- sweep: parallel wordlength exploration ----------------------------- *)
 
-let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
-    target_db cache_dir checkpoint_dir resume json trace_file counters_file
-    verbose =
+let run_sweep (job : Sweep.Job.t) cache_dir checkpoint_dir resume json
+    trace_file counters_file verbose =
   setup_logs verbose;
   if resume && checkpoint_dir = None then begin
     Format.eprintf "--resume requires --checkpoint DIR@.";
@@ -342,68 +424,27 @@ let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
        round-trip through the wave journal)@.";
     exit 1
   end;
-  let workload =
-    match Sweep.Workload.find workload_name with
-    | Some w -> w
-    | None ->
-        Format.eprintf "unknown workload %S (available: %s)@." workload_name
-          (String.concat ", "
-             (List.map
-                (fun (w : Sweep.Workload.t) -> w.Sweep.Workload.name)
-                (Sweep.Workload.all ())));
-        exit 1
-  in
-  if f_min > f_max then begin
-    Format.eprintf "invalid range: --f-min %d > --f-max %d@." f_min f_max;
-    exit 1
-  end;
-  if n_seeds < 1 then begin
-    Format.eprintf "--seeds must be at least 1@.";
-    exit 1
-  end;
-  let specs = workload.Sweep.Workload.specs in
-  let seeds = List.init n_seeds Fun.id in
-  let generator =
-    match strategy with
-    | "grid" -> Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds
-    | "bisect" -> Sweep.Generator.bisect ~specs ~f_min ~f_max ~target_db ~seeds
-    | "pareto" -> Sweep.Generator.pareto ~specs ~f_min ~f_max ~seeds ()
-    | s ->
-        Format.eprintf "unknown strategy %S (grid|bisect|pareto)@." s;
-        exit 1
-  in
+  let workload, generator = resolve_or_exit job in
   if trace_file <> None then Trace.Spans.set_enabled true;
   (* a persistent cache makes identical re-sweeps answer from disk; the
      report stays byte-identical either way (the serve gate's contract) *)
   let store = Option.map (fun dir -> Serve.Cache.create ~dir ()) cache_dir in
   let cache = Option.map Serve.Codec.eval_cache store in
-  (* the wave journal is keyed by everything that determines the report
-     byte-for-byte; jobs is excluded (scheduling only), so a resume may
-     change --jobs freely.  The daemon derives the same key for its
-     journaled jobs. *)
+  (* the daemon journals its jobs under the same key; jobs is not part
+     of it, so a resume may change --jobs freely *)
   let checkpoint =
     Option.map
       (fun dir ->
         let key =
-          Sweep.Checkpoint.sweep_key ~workload:workload_name ~strategy
-            ~context:(Serve.Codec.context ())
-            [
-              ("f_min", string_of_int f_min);
-              ("f_max", string_of_int f_max);
-              ("seeds", string_of_int n_seeds);
-              ( "budget",
-                match budget with
-                | Some b -> string_of_int b
-                | None -> "none" );
-              ("target_db", Printf.sprintf "%h" target_db);
-            ]
+          Sweep.Job.checkpoint_key ~context:(Serve.Codec.context ()) job
         in
         Sweep.Checkpoint.create ~resume ~dir ~key ())
       checkpoint_dir
   in
   let t0 = Unix.gettimeofday () in
   let report =
-    Sweep.Pool.run ~jobs ?budget ?cache ?checkpoint
+    Sweep.Pool.run ~jobs:job.Sweep.Job.jobs ?budget:job.Sweep.Job.budget
+      ?cache ?checkpoint
       ~counters:(counters_file <> None)
       ~workload ~generator ()
   in
@@ -424,7 +465,7 @@ let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
   (* timing goes to stderr, never into the (deterministic) report *)
   Format.eprintf "sweep: %d candidates in %.3f s (jobs=%d)@."
     (List.length report.Sweep.Report.entries)
-    dt jobs;
+    dt job.Sweep.Job.jobs;
   (match checkpoint with
   | Some cp ->
       let waves, cands = Sweep.Checkpoint.replayed cp in
@@ -449,44 +490,6 @@ let run_sweep workload_name strategy jobs budget f_min f_max n_seeds
   | None -> ()
 
 let sweep_cmd =
-  let workload_t =
-    Arg.(
-      value & opt string "fir"
-      & info [ "workload" ] ~doc:"Built-in workload to explore.")
-  in
-  let strategy_t =
-    Arg.(
-      value & opt string "grid"
-      & info [ "strategy" ]
-          ~doc:"Search strategy: \\$(b,grid), \\$(b,bisect) or \\$(b,pareto).")
-  in
-  let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~doc:"Worker domains (1 = sequential).")
-  in
-  let budget_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget" ] ~doc:"Cap on the number of evaluated candidates.")
-  in
-  let f_min_t =
-    Arg.(value & opt int 2 & info [ "f-min" ] ~doc:"Smallest fractional width.")
-  in
-  let f_max_t =
-    Arg.(value & opt int 10 & info [ "f-max" ] ~doc:"Largest fractional width.")
-  in
-  let seeds_t =
-    Arg.(
-      value & opt int 2
-      & info [ "seeds" ] ~doc:"Stimulus seeds per wordlength (0..N-1).")
-  in
-  let target_t =
-    Arg.(
-      value & opt float 40.0
-      & info [ "target-db" ] ~doc:"SQNR target for \\$(b,bisect).")
-  in
   let json_t =
     Arg.(value & flag & info [ "json" ] ~doc:"Canonical JSON report.")
   in
@@ -530,16 +533,16 @@ let sweep_cmd =
          "Explore wordlength/stimulus candidates in parallel (OCaml \
           multicore); deterministic for any --jobs.")
     Term.(
-      const run_sweep $ workload_t $ strategy_t $ jobs_t $ budget_t $ f_min_t
-      $ f_max_t $ seeds_t $ target_t $ cache_dir_t $ checkpoint_t $ resume_t
-      $ json_t $ trace_file_t $ counters_file_t $ verbose_t)
+      const run_sweep $ budgeted (job_t ()) $ cache_dir_t $ checkpoint_t
+      $ resume_t $ json_t $ trace_file_t $ counters_file_t $ verbose_t)
 
 (* --- faultsim: a sweep under seeded fault injection --------------------- *)
 
-let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
-    fault_seed nan_rate inf_rate denormal_rate extreme_rate extreme_mag
-    bitflip_rate overflow_rate starve_after targets on_overflow emit_plan
-    json counters_file verbose =
+let faultsim_strategies = [ "grid"; "pareto" ]
+
+let run_faultsim (job : Sweep.Job.t) plan_file fault_seed nan_rate inf_rate
+    denormal_rate extreme_rate extreme_mag bitflip_rate overflow_rate
+    starve_after targets on_overflow emit_plan json counters_file verbose =
   setup_logs verbose;
   let plan =
     match plan_file with
@@ -562,31 +565,13 @@ let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
   in
   if emit_plan then print_string (Fault.Plan.to_json plan)
   else begin
-    let workload =
-      match Sweep.Workload.find workload_name with
-      | Some w -> w
-      | None ->
-          Format.eprintf "unknown workload %S (available: %s)@." workload_name
-            (String.concat ", "
-               (List.map
-                  (fun (w : Sweep.Workload.t) -> w.Sweep.Workload.name)
-                  (Sweep.Workload.all ())));
-          exit 1
+    let workload, generator =
+      resolve_or_exit ~strategies:faultsim_strategies job
     in
     let workload = Fault.Inject.workload plan workload in
-    let specs = workload.Sweep.Workload.specs in
-    let seeds = List.init n_seeds Fun.id in
-    let generator =
-      match strategy with
-      | "grid" -> Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds
-      | "pareto" -> Sweep.Generator.pareto ~specs ~f_min ~f_max ~seeds ()
-      | s ->
-          Format.eprintf "unknown strategy %S (grid|pareto)@." s;
-          exit 1
-    in
     Format.eprintf "faultsim: plan %a@." Fault.Plan.pp plan;
     let report =
-      Sweep.Pool.run ~jobs
+      Sweep.Pool.run ~jobs:job.Sweep.Job.jobs
         ~counters:(counters_file <> None)
         ~workload ~generator ()
     in
@@ -600,36 +585,10 @@ let run_faultsim workload_name strategy jobs f_min f_max n_seeds plan_file
     Format.eprintf "faultsim: %d evaluated, %d quarantined (jobs=%d)@."
       (List.length report.Sweep.Report.entries)
       (List.length report.Sweep.Report.failures)
-      jobs
+      job.Sweep.Job.jobs
   end
 
 let faultsim_cmd =
-  let workload_t =
-    Arg.(
-      value & opt string "fir"
-      & info [ "workload" ] ~doc:"Built-in workload to explore under faults.")
-  in
-  let strategy_t =
-    Arg.(
-      value & opt string "grid"
-      & info [ "strategy" ] ~doc:"Search strategy: \\$(b,grid) or \\$(b,pareto).")
-  in
-  let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~doc:"Worker domains (1 = sequential).")
-  in
-  let f_min_t =
-    Arg.(value & opt int 4 & info [ "f-min" ] ~doc:"Smallest fractional width.")
-  in
-  let f_max_t =
-    Arg.(value & opt int 7 & info [ "f-max" ] ~doc:"Largest fractional width.")
-  in
-  let seeds_t =
-    Arg.(
-      value & opt int 2
-      & info [ "seeds" ] ~doc:"Stimulus seeds per wordlength (0..N-1).")
-  in
   let plan_t =
     Arg.(
       value
@@ -702,8 +661,9 @@ let faultsim_cmd =
           assignment site, with crashing candidates quarantined into a \
           partial report that is byte-identical for any --jobs.")
     Term.(
-      const run_faultsim $ workload_t $ strategy_t $ jobs_t $ f_min_t
-      $ f_max_t $ seeds_t $ plan_t $ fault_seed_t $ nan_t $ inf_t
+      const run_faultsim
+      $ job_t ~strategies:faultsim_strategies ~f_range:(4, 7) ()
+      $ plan_t $ fault_seed_t $ nan_t $ inf_t
       $ denormal_t $ extreme_t $ extreme_mag_t $ bitflip_t $ overflow_t
       $ starve_t $ targets_t $ on_overflow_t $ emit_plan_t $ json_t
       $ counters_file_t $ verbose_t)
@@ -1254,8 +1214,7 @@ let serve_cmd =
       const run_serve $ socket_t $ cache_dir_t $ max_entries_t $ journal_dir_t
       $ max_conns_t $ verbose_t)
 
-let run_submit socket op workload strategy f_min f_max n_seeds jobs budget
-    target_db timeout_s verbose =
+let run_submit socket op (job : Sweep.Job.t) timeout_s verbose =
   setup_logs verbose;
   let client =
     match Serve.Client.connect_retry ~attempts:30 socket with
@@ -1275,21 +1234,7 @@ let run_submit socket op workload strategy f_min f_max n_seeds jobs budget
         | "shutdown" -> Serve.Protocol.Shutdown { id = "cli" }
         | "sweep" ->
             Serve.Protocol.Sweep
-              {
-                id = "cli";
-                params =
-                  {
-                    Serve.Protocol.workload;
-                    strategy;
-                    f_min;
-                    f_max;
-                    seeds = n_seeds;
-                    jobs;
-                    budget;
-                    target_db;
-                    timeout_s;
-                  };
-              }
+              { id = "cli"; params = { job with Sweep.Job.timeout_s } }
         | s ->
             Format.eprintf "unknown op %S (sweep|ping|stats|shutdown)@." s;
             exit 1
@@ -1329,44 +1274,6 @@ let submit_cmd =
             "Operation: \\$(b,sweep) (submit a job, print its canonical \
              JSON report), \\$(b,ping), \\$(b,stats) or \\$(b,shutdown).")
   in
-  let workload_t =
-    Arg.(
-      value & opt string "fir"
-      & info [ "workload" ] ~doc:"Built-in workload for \\$(b,--op sweep).")
-  in
-  let strategy_t =
-    Arg.(
-      value & opt string "grid"
-      & info [ "strategy" ]
-          ~doc:"Search strategy: \\$(b,grid), \\$(b,bisect) or \\$(b,pareto).")
-  in
-  let f_min_t =
-    Arg.(value & opt int 2 & info [ "f-min" ] ~doc:"Smallest fractional width.")
-  in
-  let f_max_t =
-    Arg.(value & opt int 10 & info [ "f-max" ] ~doc:"Largest fractional width.")
-  in
-  let seeds_t =
-    Arg.(
-      value & opt int 2
-      & info [ "seeds" ] ~doc:"Stimulus seeds per wordlength (0..N-1).")
-  in
-  let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~doc:"Worker domains for the job.")
-  in
-  let budget_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget" ] ~doc:"Cap on the number of evaluated candidates.")
-  in
-  let target_t =
-    Arg.(
-      value & opt float 40.0
-      & info [ "target-db" ] ~doc:"SQNR target for \\$(b,bisect).")
-  in
   let timeout_t =
     Arg.(
       value
@@ -1382,8 +1289,7 @@ let submit_cmd =
           hit/miss counts on stderr), a cache stats snapshot, a liveness \
           ping, or a shutdown.")
     Term.(
-      const run_submit $ socket_t $ op_t $ workload_t $ strategy_t $ f_min_t
-      $ f_max_t $ seeds_t $ jobs_t $ budget_t $ target_t $ timeout_t
+      const run_submit $ socket_t $ op_t $ budgeted (job_t ()) $ timeout_t
       $ verbose_t)
 
 let () =

@@ -34,11 +34,12 @@
     EOFs idle readers, waits for all connection threads, then exits.
 
     Degradation mirrors the rest of the engine: a malformed line yields
-    an [error] response (the connection stays up), an unknown workload
-    or strategy yields an [error] response, a job that raises is caught
-    and reported, and a [timeout_s] overrun — checked between waves,
-    like the pool's budget — quarantines just that job.  Only
-    [shutdown] or [SIGTERM] stops the daemon. *)
+    an [error] response (the connection stays up), a job that
+    {!Sweep.Job.resolve} rejects yields an [error] naming the bad
+    field, a job that raises is caught and reported, and a [timeout_s]
+    overrun — checked between waves, like the pool's budget —
+    quarantines just that job.  Only [shutdown] or [SIGTERM] stops the
+    daemon. *)
 
 (* Raised inside a job's [on_wave] when its deadline passed. *)
 exception Timeout
@@ -46,25 +47,6 @@ exception Timeout
 (* Raised inside a job's [on_wave] when the daemon is draining: the
    current wave completed (and was checkpointed), stop cleanly. *)
 exception Drained
-
-let build_generator (p : Protocol.sweep_params)
-    (workload : Sweep.Workload.t) =
-  let specs = workload.Sweep.Workload.specs in
-  let seeds = List.init p.Protocol.seeds Fun.id in
-  match p.Protocol.strategy with
-  | "grid" ->
-      Ok
-        (Sweep.Generator.grid ~specs ~f_min:p.Protocol.f_min
-           ~f_max:p.Protocol.f_max ~seeds)
-  | "bisect" ->
-      Ok
-        (Sweep.Generator.bisect ~specs ~f_min:p.Protocol.f_min
-           ~f_max:p.Protocol.f_max ~target_db:p.Protocol.target_db ~seeds)
-  | "pareto" ->
-      Ok
-        (Sweep.Generator.pareto ~specs ~f_min:p.Protocol.f_min
-           ~f_max:p.Protocol.f_max ~seeds ())
-  | s -> Result.Error (Printf.sprintf "unknown strategy %S (grid|bisect|pareto)" s)
 
 type t = {
   cache : Cache.t;
@@ -83,88 +65,55 @@ type t = {
   log : string -> unit;
 }
 
-(* The sweep's wave-journal key: everything that determines the report
-   byte-for-byte.  [jobs] and [timeout_s] are deliberately excluded —
-   they affect scheduling and wall-clock, never results — so a job
-   resubmitted with different parallelism still resumes its journal. *)
+(* Resumes the job's wave journal under {!Sweep.Job.checkpoint_key} —
+   the key [fxrefine sweep --checkpoint] derives too.  Two concurrent
+   identical jobs may share a key: their wave files are byte-identical
+   by determinism, and each write renames its own temp file into place,
+   so the race is benign. *)
 let checkpoint_of t (p : Protocol.sweep_params) =
-  match t.checkpoint_dir with
-  | None -> None
-  | Some dir ->
-      let key =
-        Sweep.Checkpoint.sweep_key ~workload:p.Protocol.workload
-          ~strategy:p.Protocol.strategy ~context:(Codec.context ())
-          [
-            ("f_min", string_of_int p.Protocol.f_min);
-            ("f_max", string_of_int p.Protocol.f_max);
-            ("seeds", string_of_int p.Protocol.seeds);
-            ( "budget",
-              match p.Protocol.budget with
-              | Some b -> string_of_int b
-              | None -> "none" );
-            ("target_db", Printf.sprintf "%h" p.Protocol.target_db);
-          ]
-      in
-      (* two concurrent identical jobs may share a key: their wave
-         files are byte-identical by determinism, and each write renames
-         its own temp file into place, so the race is benign *)
-      Some (Sweep.Checkpoint.create ~resume:true ~dir ~key ())
+  Option.map
+    (fun dir ->
+      let key = Sweep.Job.checkpoint_key ~context:(Codec.context ()) p in
+      Sweep.Checkpoint.create ~resume:true ~dir ~key ())
+    t.checkpoint_dir
 
 let run_sweep_job t ~id (p : Protocol.sweep_params) =
-  match Sweep.Workload.find p.Protocol.workload with
-  | None ->
-      Protocol.Error
-        {
-          id;
-          message = Printf.sprintf "unknown workload %S" p.Protocol.workload;
-        }
-  | Some workload -> (
-      if p.Protocol.f_min > p.Protocol.f_max then
-        Protocol.Error { id; message = "f_min > f_max" }
-      else if p.Protocol.seeds < 1 then
-        Protocol.Error { id; message = "seeds < 1" }
-      else if p.Protocol.jobs < 1 then
-        Protocol.Error { id; message = "jobs < 1" }
-      else
-        match build_generator p workload with
-        | Result.Error message -> Protocol.Error { id; message }
-        | Ok generator -> (
-            let deadline =
-              Option.map
-                (fun t -> Unix.gettimeofday () +. t)
-                p.Protocol.timeout_s
-            in
-            let on_wave _progress =
-              (match deadline with
-              | Some d when Unix.gettimeofday () > d -> raise Timeout
-              | _ -> ());
-              if Atomic.get t.draining then raise Drained
-            in
-            let checkpoint = checkpoint_of t p in
-            let s0 = Cache.stats t.cache in
-            match
-              Sweep.Pool.run ~jobs:p.Protocol.jobs ?budget:p.Protocol.budget
-                ~cache:(Codec.eval_cache t.cache) ?checkpoint ~on_wave
-                ~workload ~generator ()
-            with
-            | report ->
-                let s1 = Cache.stats t.cache in
-                Protocol.Report
-                  {
-                    id;
-                    report = Sweep.Report.to_json report;
-                    hits = s1.Cache.hits - s0.Cache.hits;
-                    misses = s1.Cache.misses - s0.Cache.misses;
-                  }
-            | exception Timeout ->
-                Protocol.Error
-                  { id; message = "timeout: job exceeded its wall-clock budget" }
-            | exception Drained ->
-                (* escapes to the journaled wrapper: the intent must
-                   survive so the next daemon re-runs this job *)
-                raise Drained
-            | exception exn ->
-                Protocol.Error { id; message = Printexc.to_string exn }))
+  match Sweep.Job.resolve p with
+  | Error message -> Protocol.Error { id; message }
+  | Ok (workload, generator) -> (
+      let deadline =
+        Option.map (fun t -> Unix.gettimeofday () +. t) p.Protocol.timeout_s
+      in
+      let on_wave _progress =
+        (match deadline with
+        | Some d when Unix.gettimeofday () > d -> raise Timeout
+        | _ -> ());
+        if Atomic.get t.draining then raise Drained
+      in
+      let checkpoint = checkpoint_of t p in
+      let s0 = Cache.stats t.cache in
+      match
+        Sweep.Pool.run ~jobs:p.Protocol.jobs ?budget:p.Protocol.budget
+          ~cache:(Codec.eval_cache t.cache) ?checkpoint ~on_wave ~workload
+          ~generator ()
+      with
+      | report ->
+          let s1 = Cache.stats t.cache in
+          Protocol.Report
+            {
+              id;
+              report = Sweep.Report.to_json report;
+              hits = s1.Cache.hits - s0.Cache.hits;
+              misses = s1.Cache.misses - s0.Cache.misses;
+            }
+      | exception Timeout ->
+          Protocol.Error
+            { id; message = "timeout: job exceeded its wall-clock budget" }
+      | exception Drained ->
+          (* escapes to the journaled wrapper: the intent must survive
+             so the next daemon re-runs this job *)
+          raise Drained
+      | exception exn -> Protocol.Error { id; message = Printexc.to_string exn })
 
 let drained_error id =
   Protocol.Error

@@ -2,7 +2,7 @@
     socket, every job sharing one content-addressed {!Cache}.  One
     thread per connection, line-delimited {!Protocol} messages, one
     response per request.  Failures degrade like the rest of the
-    engine: malformed lines, unknown workloads/strategies, raised
+    engine: malformed lines, jobs {!Sweep.Job.resolve} rejects, raised
     exceptions and [timeout_s] overruns each quarantine the single
     request into an [error] response; the daemon itself only stops on a
     [shutdown] request or a [SIGTERM] drain.

@@ -3,20 +3,20 @@
 
     A client connection carries a sequence of independent requests;
     every request names an [id] the daemon echoes in its response, so a
-    client multiplexing jobs can correlate them.  The sweep job mirrors
-    the [fxrefine sweep] surface (workload and strategy by name, the
-    grid/bisect parameters, jobs/budget) plus a wall-clock [timeout_s]
-    that the daemon checks between waves. *)
+    client multiplexing jobs can correlate them.  The sweep job is the
+    {!Sweep.Job.t} the CLI builds from the same flags: workload and
+    strategy by name, the grid/bisect parameters, jobs/budget, plus a
+    wall-clock [timeout_s] that the daemon checks between waves. *)
 
-type sweep_params = {
+type sweep_params = Sweep.Job.t = {
   workload : string;
-  strategy : string;  (** grid | bisect | pareto *)
+  strategy : string;
   f_min : int;
   f_max : int;
-  seeds : int;  (** stimulus seeds 0..N-1, like the CLI *)
+  seeds : int;
   jobs : int;
   budget : int option;
-  target_db : float;  (** bisect's SQNR target *)
+  target_db : float;
   timeout_s : float option;
 }
 

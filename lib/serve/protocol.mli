@@ -3,9 +3,10 @@
     the daemon echoes back, so clients can correlate multiplexed
     jobs. *)
 
-(** Parameters of a sweep job — the [fxrefine sweep] surface by name,
-    plus a wall-clock timeout the daemon checks between waves. *)
-type sweep_params = {
+(** Parameters of a sweep job: the {!Sweep.Job.t} record that
+    [fxrefine sweep] builds from the same flags, re-exported so the
+    wire codec names its fields. *)
+type sweep_params = Sweep.Job.t = {
   workload : string;  (** built-in workload name, e.g. ["fir"] *)
   strategy : string;  (** [grid], [bisect] or [pareto] *)
   f_min : int;

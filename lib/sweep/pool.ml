@@ -208,14 +208,14 @@ let eval_unit ?cache ~counters ~batched ~tid workload instances wi cs =
       (Array.to_list cs)
 
 (* One wave, [nw] workers (the calling domain and [nw - 1] spawned ones)
-   pulling units from a shared atomic cursor;
+   pulling units from a shared atomic cursor — at [jobs = 1] no domain
+   is spawned and the calling domain runs every unit;
    results land by unit index so completion order is irrelevant.  A
    domain that dies outside the per-candidate containment parks its
    exception (and the first candidate id of its unit); every domain is
    joined before anything re-raises — no abandoned domains, no
    unclaimed slots. *)
-let eval_wave_parallel ?cache workload instances ~jobs ~counters ~batched
-    units =
+let eval_units ?cache workload instances ~jobs ~counters ~batched units =
   let len = Array.length units in
   let results = Array.make len None in
   let cursor = Atomic.make 0 in
@@ -275,14 +275,8 @@ let eval_wave ?cache workload instances ~jobs ~counters wave =
             (Worker_failure { worker = 0; candidate = c0.Candidate.id; exn })
       in
       let batched = (not counters) && inst0.Workload.compiled <> None in
-      let units = units ~jobs ~batched (Array.of_list wave) in
-      if jobs <= 1 then
-        List.concat_map
-          (eval_unit ?cache ~counters ~batched ~tid:0 workload instances 0)
-          (Array.to_list units)
-      else
-        eval_wave_parallel ?cache workload instances ~jobs ~counters ~batched
-          units
+      eval_units ?cache workload instances ~jobs ~counters ~batched
+        (units ~jobs ~batched (Array.of_list wave))
 
 let run ?(jobs = 1) ?budget ?cache ?checkpoint ?on_wave ?(counters = false)
     ~workload ~generator () =

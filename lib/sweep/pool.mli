@@ -12,7 +12,8 @@
 type progress = { wave : int; evaluated : int; total_so_far : int }
 
 (** A worker domain died outside the per-candidate containment (e.g.
-    workload instance construction failed).  Raised only after every
+    workload instance construction failed) — at [jobs = 1] too, where
+    the calling domain is worker 0.  Raised only after every
     domain of the wave was joined — no abandoned domains, no silently
     unclaimed result slots.  A [Printexc] printer is registered. *)
 exception Worker_failure of { worker : int; candidate : int; exn : exn }

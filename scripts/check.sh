@@ -9,9 +9,10 @@
 #      wall-clock bench guards included (deliberately NOT part of
 #      `dune runtest`);
 #   5. duplication guards: the atomic durable write (fsync + rename)
-#      lives only in lib/durable/, and the looped example designs are
-#      built only by the scenario registry (lib/scenario/), so neither
-#      grows a second copy again;
+#      lives only in lib/durable/, the looped example designs are
+#      built only by the scenario registry (lib/scenario/), and the CLI
+#      and the daemon resolve sweep jobs only through Sweep.Job, so
+#      none grows a second copy again;
 #   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
@@ -71,6 +72,14 @@ if grep -rnE 'Dsp\.(Synchronizer|Lms_equalizer|Timing_recovery)\.create' lib bin
   --include='*.ml' --include='*.mli' \
   | grep -vE '^lib/(dsp|scenario)/'; then
   echo "check.sh: a looped design built outside lib/scenario/ (build it through Scenario)" >&2
+  exit 1
+fi
+# One sweep job: strategy dispatch and the wave-journal key live in
+# lib/sweep/job.ml (oracle gates and tests stay exempt: they build their
+# reference sweeps on their own on purpose).
+if grep -rnE 'Sweep\.Generator\.(grid|bisect|pareto)|Sweep\.Checkpoint\.sweep_key' bin lib/serve \
+  --include='*.ml' --include='*.mli'; then
+  echo "check.sh: a sweep job resolved outside lib/sweep/job.ml (use Sweep.Job.resolve/checkpoint_key)" >&2
   exit 1
 fi
 with_timeout 60 sh scripts/check_links.sh

@@ -521,27 +521,40 @@ let test_daemon_roundtrip () =
       check bool_t "ping" true
         (Serve.Client.request c (Serve.Protocol.Ping { id = "1" })
         = Serve.Protocol.Pong { id = "1" });
-      (match
-         Serve.Client.request c
-           (Serve.Protocol.Sweep
-              {
-                id = "2";
-                params =
-                  {
-                    Serve.Protocol.workload = "nonesuch";
-                    strategy = "grid";
-                    f_min = 4;
-                    f_max = 5;
-                    seeds = 1;
-                    jobs = 1;
-                    budget = None;
-                    target_db = 40.0;
-                    timeout_s = None;
-                  };
-              })
-       with
-      | Serve.Protocol.Error { id = "2"; _ } -> ()
-      | _ -> Alcotest.fail "unknown workload should answer an error");
+      (* every job Sweep.Job.resolve rejects answers an error naming
+         the field, on a connection that stays up *)
+      let ok =
+        {
+          Serve.Protocol.workload = "fir";
+          strategy = "grid";
+          f_min = 4;
+          f_max = 5;
+          seeds = 1;
+          jobs = 1;
+          budget = None;
+          target_db = 40.0;
+          timeout_s = None;
+        }
+      in
+      List.iter
+        (fun (field, params) ->
+          match
+            Serve.Client.request c (Serve.Protocol.Sweep { id = "2"; params })
+          with
+          | Serve.Protocol.Error { id = "2"; message } ->
+              check bool_t
+                (Printf.sprintf "%S names %s" message field)
+                true
+                (String.starts_with ~prefix:(field ^ ":") message)
+          | _ -> Alcotest.failf "bad %s should answer an error" field)
+        [
+          ("workload", { ok with workload = "nonesuch" });
+          ("strategy", { ok with strategy = "anneal" });
+          ("f_min", { ok with f_min = 8; f_max = 4 });
+          ("seeds", { ok with seeds = 0 });
+          ("jobs", { ok with jobs = 0 });
+          ("budget", { ok with budget = Some 0 });
+        ];
       check bool_t "shutdown acknowledged" true
         (Serve.Client.request c (Serve.Protocol.Shutdown { id = "3" })
         = Serve.Protocol.Bye { id = "3" }));

@@ -261,6 +261,66 @@ let counting_workload counter (w : Sweep.Workload.t) =
         });
   }
 
+(* --- Sweep.Job: the one job description -------------------------------- *)
+
+let job =
+  {
+    Sweep.Job.workload = "fir";
+    strategy = "grid";
+    f_min = 3;
+    f_max = 9;
+    seeds = 2;
+    jobs = 2;
+    budget = None;
+    target_db = 40.0;
+    timeout_s = None;
+  }
+
+let test_job_resolve () =
+  (* each bad field is rejected with a message naming it *)
+  let all = Sweep.Job.strategies in
+  List.iter
+    (fun (field, strategies, bad) ->
+      match Sweep.Job.resolve ~strategies bad with
+      | Ok _ -> Alcotest.failf "bad %s accepted" field
+      | Error msg ->
+          check bool_t (Printf.sprintf "%S names %s" msg field) true
+            (String.starts_with ~prefix:(field ^ ":") msg))
+    [
+      ("workload", all, { job with workload = "nonesuch" });
+      ("strategy", all, { job with strategy = "anneal" });
+      ("strategy", [ "grid"; "pareto" ], { job with strategy = "bisect" });
+      ("f_min", all, { job with f_min = 8; f_max = 4 });
+      ("seeds", all, { job with seeds = 0 });
+      ("jobs", all, { job with jobs = 0 });
+      ("budget", all, { job with budget = Some 0 });
+    ];
+  (* a valid job resolves to the workload and the generator a direct
+     call builds *)
+  match Sweep.Job.resolve job with
+  | Error e -> Alcotest.fail e
+  | Ok (w, g) ->
+      check string_t "workload" "fir" w.Sweep.Workload.name;
+      check string_t "strategy" "grid" (Sweep.Generator.name g);
+      let direct =
+        Sweep.Generator.grid ~specs:w.Sweep.Workload.specs ~f_min:3 ~f_max:9
+          ~seeds:[ 0; 1 ]
+      in
+      check bool_t "first wave = Generator.grid's" true
+        (Sweep.Generator.next g [] = Sweep.Generator.next direct [])
+
+(* The wave-journal key's bytes, recorded from the CLI's and the
+   daemon's derivation before both moved onto [Sweep.Job]: a journal
+   written before the move still resumes. *)
+let test_job_checkpoint_key_pinned () =
+  let key j = Sweep.Job.checkpoint_key ~context:"fxeval/1" j in
+  let job = { job with strategy = "bisect" } in
+  check string_t "budget none" "07e43547a1b17497a7a75c90d8f20b1e" (key job);
+  check string_t "budget 5" "4fa2e4e8bf67f6618f7d48331a1a7111"
+    (key { job with budget = Some 5 });
+  check string_t "jobs and timeout are not part of the key" (key job)
+    (key { job with jobs = 7; timeout_s = Some 1.0 })
+
 let ckpt_key =
   Sweep.Checkpoint.sweep_key ~workload:"fir-64" ~strategy:"bisect"
     ~context:"fxeval/test"
@@ -475,6 +535,9 @@ let suite =
       Alcotest.test_case "sync report pinned" `Quick test_sync_report_pinned;
       Alcotest.test_case "pool budget" `Quick test_pool_budget;
       Alcotest.test_case "pool sqnr monotone" `Quick test_pool_sqnr_monotone;
+      Alcotest.test_case "job resolve" `Quick test_job_resolve;
+      Alcotest.test_case "job checkpoint key pinned" `Quick
+        test_job_checkpoint_key_pinned;
       Alcotest.test_case "checkpoint resume identical" `Quick
         test_checkpoint_resume_identical;
       Alcotest.test_case "checkpoint partial resume" `Quick
