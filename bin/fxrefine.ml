@@ -818,7 +818,7 @@ let check_cmd =
           trace determinism, fault injection, compiled-executor equality, \
           the verification oracle, the cache/daemon gate, the \
           synchronizer lock/refine gate, and the throughput guards \
-          against the committed BENCH_*.json baselines.")
+          against the committed bench baseline files.")
     Term.(
       const run_check $ seed_t $ per_combo_t $ update_t $ no_bench_t
       $ golden_dir_t $ jobs_t $ verbose_t)

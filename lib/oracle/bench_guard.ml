@@ -1,15 +1,21 @@
 (* Bench regression guard: the bench rows re-measured against the
-   committed BENCH_*.json baselines, one guard per file. *)
+   committed baseline files, one guard per file — and the one writer and
+   reader of those files. *)
 
 type entry = {
   bench : string;
-  samples_per_run : int;
   baseline : float;
   measured : float;
   ratio : float;
 }
 
-type report = { title : string; entries : entry list; note : string option }
+type report = {
+  title : string;
+  unit : string;
+  entries : entry list;
+  note : string option;
+  error : string option;
+}
 
 type row = {
   name : string;
@@ -17,56 +23,15 @@ type row = {
   prepare : unit -> budget:float -> int * float;
 }
 
-type guard = { gate : string; title : string; file : string; rows : row list }
+type guard = {
+  gate : string;
+  title : string;
+  file : string;
+  unit : string;
+  rows : row list;
+}
 
 let threshold = 0.8
-
-(* --- baseline parsing (no JSON dependency) ------------------------------ *)
-
-(* Scan for ["name": "<w>"] followed by ["after": <float>]; the file is
-   machine-written by bench/main.ml's simbench with exactly this shape. *)
-let parse_baselines text =
-  let find_from pat i =
-    let n = String.length text and m = String.length pat in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub text i m = pat then Some (i + m)
-      else go (i + 1)
-    in
-    go i
-  in
-  let number_at i =
-    let n = String.length text in
-    let rec skip i = if i < n && text.[i] = ' ' then skip (i + 1) else i in
-    let i = skip i in
-    let rec stop j =
-      if
-        j < n
-        && (match text.[j] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      then stop (j + 1)
-      else j
-    in
-    let j = stop i in
-    if j = i then None else float_of_string_opt (String.sub text i (j - i))
-  in
-  let rec entries i acc =
-    match find_from "\"name\": \"" i with
-    | None -> List.rev acc
-    | Some i -> (
-        match String.index_from_opt text i '"' with
-        | None -> List.rev acc
-        | Some q -> (
-            let name = String.sub text i (q - i) in
-            match find_from "\"after\":" q with
-            | None -> List.rev acc
-            | Some j -> (
-                match number_at j with
-                | None -> entries j acc
-                | Some v -> entries j ((name, v) :: acc))))
-  in
-  entries 0 []
 
 (* Deflake: wall-clock throughput on a shared machine is noisy in one
    direction only (preemption can slow a run down, never speed it up),
@@ -90,30 +55,24 @@ let timed ~budget once =
   done;
   Float.of_int !reps /. elapsed ()
 
-let measure ~budget (design : Refine.Flow.design) ~samples_per_run =
-  Float.of_int samples_per_run
-  *. timed ~budget (fun () ->
-         design.Refine.Flow.reset ();
-         design.Refine.Flow.run ())
-
-(* --- the dual-simulation rows (BENCH_sim.json, BENCH_sync.json) --------- *)
+(* --- the dual-simulation rows (samples/sec) ------------------------------ *)
 
 let of_scenario (sc : _ Scenario.t) = (sc.Scenario.design, sc.Scenario.cycles)
 
-let sim_designs =
-  [
-    ("lms-equalizer", "lms", fun () -> of_scenario (Scenario.lms ()));
-    ("timing-recovery", "timing", fun () -> of_scenario (Scenario.timing ()));
-  ]
-
+(* Samples/sec of whole [reset]+[run] repetitions of the design. *)
 let design_row (name, scenario, build) =
   {
     name;
     scenario;
     prepare =
       (fun () ->
-        let design, samples_per_run = build () in
-        fun ~budget -> (samples_per_run, measure ~budget design ~samples_per_run));
+        let (design : Refine.Flow.design), samples_per_run = build () in
+        fun ~budget ->
+          ( samples_per_run,
+            Float.of_int samples_per_run
+            *. timed ~budget (fun () ->
+                   design.Refine.Flow.reset ();
+                   design.Refine.Flow.run ()) ));
   }
 
 let sim =
@@ -121,7 +80,15 @@ let sim =
     gate = "bench";
     title = "bench guard";
     file = "BENCH_sim.json";
-    rows = List.map design_row sim_designs;
+    unit = "samples/sec";
+    rows =
+      List.map design_row
+        [
+          ("lms-equalizer", "lms", fun () -> of_scenario (Scenario.lms ()));
+          ( "timing-recovery",
+            "timing",
+            fun () -> of_scenario (Scenario.timing ()) );
+        ];
   }
 
 (* Dual-simulation samples/sec of the closed loop, per detector. *)
@@ -130,6 +97,7 @@ let sync =
     gate = "bench-sync";
     title = "sync bench guard";
     file = "BENCH_sync.json";
+    unit = "samples/sec";
     rows =
       List.map design_row
         [
@@ -145,7 +113,7 @@ let sync =
         ];
   }
 
-(* --- compiled-executor throughput (BENCH_compile.json) ------------------ *)
+(* --- compiled-executor throughput (lane-samples/sec) --------------------- *)
 
 (* The graphs the compiled and verify rows run: the extracted flowgraphs
    of the conformance workloads — the same extraction the sweep's
@@ -185,6 +153,7 @@ let compiled =
     gate = "bench-compiled";
     title = "compiled bench guard";
     file = "BENCH_compile.json";
+    unit = "lane-samples/sec";
     rows =
       List.map compiled_row
         [
@@ -195,7 +164,7 @@ let compiled =
         ];
   }
 
-(* --- verification-engine throughput (BENCH_verify.json) ---------------- *)
+(* --- verification-engine throughput (transitions/sec) -------------------- *)
 
 (* The measured unit is one whole verification run (compile, search, and
    for the biquad the graph rebuild) — the wall-clock a verify-gate
@@ -227,6 +196,7 @@ let verify =
     gate = "bench-verify";
     title = "verify bench guard";
     file = "BENCH_verify.json";
+    unit = "transitions/sec";
     rows =
       List.map verify_row
         [
@@ -243,8 +213,53 @@ let verify =
         ];
   }
 
+(* --- the baseline file ---------------------------------------------------- *)
+
+(* One flat object: the guard's unit, then one figure per row, in the
+   guard's row order. *)
+let write g figures =
+  let field (k, v) = Printf.sprintf "  %s: %s" (Trace.Json.string_lit k) v in
+  let figure (name, v) = (name, Trace.Json.float_lit v) in
+  Printf.sprintf "{\n%s\n}\n"
+    (String.concat ",\n"
+       (List.map field
+          (("unit", Trace.Json.string_lit g.unit) :: List.map figure figures)))
+
+let read g text =
+  let ( let* ) = Result.bind in
+  let fail fmt = Printf.ksprintf (fun m -> Error (g.file ^ ": " ^ m)) fmt in
+  let* fields =
+    match Trace.Json.parse_object text with
+    | Ok fields -> Ok fields
+    | Error e -> fail "%s" e
+  in
+  let* () =
+    match List.assoc_opt "unit" fields with
+    | Some (Trace.Json.String u) when String.equal u g.unit -> Ok ()
+    | _ -> fail "unit is not %S" g.unit
+  in
+  let stray (k, _) =
+    k <> "unit" && not (List.exists (fun r -> String.equal r.name k) g.rows)
+  in
+  let* () =
+    match List.find_opt stray fields with
+    | Some (k, _) -> fail "row %s is not guarded" k
+    | None -> Ok ()
+  in
+  List.fold_left
+    (fun acc r ->
+      let* acc = acc in
+      match List.assoc_opt r.name fields with
+      | Some (Trace.Json.Int v) when v > 0 ->
+          Ok ((r.name, Float.of_int v) :: acc)
+      | Some (Trace.Json.Float v) when v > 0.0 -> Ok ((r.name, v) :: acc)
+      | _ -> fail "row %s: no positive baseline figure" r.name)
+    (Ok []) g.rows
+  |> Result.map List.rev
+
 (* --- the guard ----------------------------------------------------------- *)
 
+(* [(name, units per run, units/sec)] of every row, median of three. *)
 let measure_rows ~budget_seconds g =
   List.map
     (fun r ->
@@ -259,39 +274,63 @@ let measure_rows ~budget_seconds g =
       (r.name, !per, rate))
     g.rows
 
-let skipped g note = { title = g.title; entries = []; note = Some note }
+let record g =
+  Format.printf "@.==================== %s: %s ====================@." g.title
+    g.unit;
+  let rows = measure_rows ~budget_seconds:1.0 g in
+  List.iter
+    (fun (name, per, rate) ->
+      Format.printf "%-20s %7d per run: %12.0f %s@." name per rate g.unit)
+    rows;
+  let figures =
+    List.map (fun (name, _, rate) -> (name, Float.round rate)) rows
+  in
+  Out_channel.with_open_bin g.file (fun oc ->
+      output_string oc (write g figures));
+  Format.printf "wrote %s@." g.file
+
+let report g ?note ?error entries =
+  { title = g.title; unit = g.unit; entries; note; error }
+
+let skipped g note = report g ~note []
+
+let score g baselines measured =
+  report g
+    (List.map
+       (fun (bench, measured) ->
+         let baseline = List.assoc bench baselines in
+         { bench; baseline; measured; ratio = measured /. baseline })
+       measured)
 
 let run g =
   if not (Sys.file_exists g.file) then
     skipped g (Printf.sprintf "baseline %s not found: skipped" g.file)
   else
-    let baselines =
-      try parse_baselines (In_channel.with_open_bin g.file In_channel.input_all)
-      with Sys_error _ -> []
-    in
-    if baselines = [] then
-      skipped g (Printf.sprintf "no baselines parsed from %s: skipped" g.file)
-    else
-      let rows = List.filter (fun r -> List.mem_assoc r.name baselines) g.rows in
-      let entries =
-        List.map
-          (fun (bench, samples_per_run, measured) ->
-            let baseline = List.assoc bench baselines in
-            { bench; samples_per_run; baseline; measured; ratio = measured /. baseline })
-          (measure_rows ~budget_seconds:0.5 { g with rows })
-      in
-      { title = g.title; entries; note = None }
+    match
+      Result.bind
+        (try Ok (In_channel.with_open_bin g.file In_channel.input_all)
+         with Sys_error e -> Error e)
+        (read g)
+    with
+    | Error error -> report g ~error []
+    | Ok baselines ->
+        score g baselines
+          (List.map
+             (fun (name, _, rate) -> (name, rate))
+             (measure_rows ~budget_seconds:0.5 g))
 
-let passed r = List.for_all (fun e -> e.ratio >= threshold) r.entries
+let passed r =
+  r.error = None && List.for_all (fun e -> e.ratio >= threshold) r.entries
 
 let pp_report ppf r =
-  (match r.note with
-  | Some n -> Format.fprintf ppf "%s: %s" r.title n
-  | None ->
+  (match (r.error, r.note) with
+  | Some e, _ -> Format.fprintf ppf "%s: FAILED, broken baseline: %s" r.title e
+  | None, Some n -> Format.fprintf ppf "%s: %s" r.title n
+  | None, None ->
       Format.fprintf ppf "%s (fail below %.2fx baseline):" r.title threshold);
   List.iter
     (fun e ->
-      Format.fprintf ppf "@.  %-18s %9.0f samples/sec vs baseline %9.0f (%.2fx)%s"
-        e.bench e.measured e.baseline e.ratio
+      Format.fprintf ppf "@.  %-18s %9.0f %s vs baseline %9.0f (%.2fx)%s"
+        e.bench e.measured r.unit e.baseline e.ratio
         (if e.ratio >= threshold then "" else "  REGRESSION"))
     r.entries

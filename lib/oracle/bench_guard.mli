@@ -1,9 +1,20 @@
-(** Throughput regression guard: re-measures the bench rows of
-    [bench/main.ml] and compares them against the committed baselines,
-    one guard per [BENCH_*.json] file — the dual-simulation rows of
-    [simbench] ([BENCH_sim.json]) and [syncbench] ([BENCH_sync.json]),
-    the compiled-executor rows of [compilebench] ([BENCH_compile.json])
-    and the verification rows of [verifybench] ([BENCH_verify.json]).
+(** Throughput regression guard: re-measures the bench rows and compares
+    them against the committed baselines, one guard per baseline file —
+    the dual-simulation rows ({!sim}, {!sync}), the compiled-executor
+    rows ({!compiled}) and the verification rows ({!verify}).  This
+    module is the one writer ({!record}, [bench/main.exe simbench] and
+    friends) and the one reader ({!read}) of those files.
+
+    A baseline file is one flat JSON object: the guard's [unit]
+    under ["unit"], then one figure per row, keyed by row name, in the
+    guard's row order:
+    {[
+      {
+        "unit": "samples/sec",
+        "lms-equalizer": 547978,
+        "timing-recovery": 287300
+      }
+    ]}
 
     Timing is inherently machine- and load-dependent, so this guard is
     deliberately {e not} part of [dune runtest]; it runs inside
@@ -14,16 +25,19 @@
 
 type entry = {
   bench : string;
-  samples_per_run : int;
-  baseline : float;  (** the baseline file's [after] figure *)
+  baseline : float;  (** the baseline file's figure *)
   measured : float;
   ratio : float;  (** measured / baseline *)
 }
 
 type report = {
   title : string;  (** e.g. ["compiled bench guard"] *)
+  unit : string;  (** the guard's unit, printed on every row *)
   entries : entry list;
   note : string option;  (** set when the guard was skipped *)
+  error : string option;
+      (** set when the baseline file exists but does not {!read}: the
+          guard fails without measuring *)
 }
 
 (** One measured row.  [prepare ()] builds the row's design once and
@@ -42,51 +56,53 @@ type guard = {
   gate : string;  (** the [check] gate name *)
   title : string;
   file : string;  (** the committed baseline file *)
+  unit : string;  (** what a figure counts, e.g. ["samples/sec"] *)
   rows : row list;
 }
 
-(** Extract [(name, after)] pairs from a baseline JSON (naive string
-    scan; the files are machine-written by [bench/main.ml]). *)
-val parse_baselines : string -> (string * float) list
-
-(** Samples/sec of [budget] seconds of whole [reset]+[run] repetitions
-    after one warm-up run. *)
-val measure :
-  budget:float -> Refine.Flow.design -> samples_per_run:int -> float
-
-(** The [simbench] designs as [(row name, scenario, build)]: the LMS
-    equalizer at 4000 symbols and the timing-recovery loop at 8000
-    samples, both from {!Scenario}. *)
-val sim_designs :
-  (string * string * (unit -> Refine.Flow.design * int)) list
-
-(** [BENCH_sim.json]: {!sim_designs}. *)
+(** The LMS equalizer at 4000 symbols and the timing-recovery loop at
+    8000 samples ({!Scenario}), in samples/sec. *)
 val sim : guard
 
-(** [BENCH_compile.json]: the extracted lms and timing flowgraphs on the
-    flat-schedule executor at batch 1 and 64; throughput counts
-    lane-samples (steps × batch). *)
+(** The extracted lms and timing flowgraphs on the flat-schedule
+    executor at batch 1 and 64, in lane-samples/sec (steps × batch). *)
 val compiled : guard
 
-(** [BENCH_verify.json]: one whole verification run per repetition —
-    the exhaustive biquad no-overflow proof and the bounded lms
-    limit-cycle closure — in transitions/sec. *)
+(** One whole verification run per repetition — the exhaustive biquad
+    no-overflow proof and the bounded lms limit-cycle closure — in
+    transitions/sec. *)
 val verify : guard
 
-(** [BENCH_sync.json]: the closed ML-TED 4-PAM and Gardner 2-PAM loops
-    ({!Scenario.sync}, 4000 symbols) in samples/sec. *)
+(** The closed ML-TED 4-PAM and Gardner 2-PAM loops ({!Scenario.sync},
+    4000 symbols) in samples/sec. *)
 val sync : guard
 
-(** Median-of-three measurement of every row, as
-    [(name, units_per_run, units_per_sec)] — what the bench harness
-    records. *)
-val measure_rows :
-  budget_seconds:float -> guard -> (string * int * float) list
+(** Render a baseline file from [(row, figure)] pairs, in the order
+    given. *)
+val write : guard -> (string * float) list -> string
 
-(** Measure the rows present in the guard's baseline file (budget 0.5 s
-    per measurement) and compare.  A missing or unparseable baseline
-    file yields an empty, passing report with [note] set. *)
+(** Parse a baseline file's text into [(row, figure)] for every row of
+    the guard, in the guard's order.  [Error], naming the file and the
+    row, when the text is not a flat JSON object, its ["unit"] is not
+    the guard's, a guarded row is missing or not a positive number, or a
+    row is not guarded. *)
+val read : guard -> string -> ((string * float) list, string) result
+
+(** Measure every row (median of three at a 1 s budget), print each
+    with the guard's unit, and rewrite the guard's file (relative to the
+    working directory) with the figures rounded to whole units. *)
+val record : guard -> unit
+
+(** Read the guard's baseline file, then measure every row (budget 0.5 s
+    per measurement) and compare.  A missing file yields an empty,
+    passing report with [note] set; a file that does not {!read} yields
+    a failing report with [error] set, before any measurement. *)
 val run : guard -> report
+
+(** The report of measured [(row, units/sec)] figures against
+    [(row, baseline)] pairs (every measured row must have a
+    baseline). *)
+val score : guard -> (string * float) list -> (string * float) list -> report
 
 (** An empty, passing report with [note] set. *)
 val skipped : guard -> string -> report

@@ -8,7 +8,7 @@
       ([sink != Sink.null]) and computes the event arguments only inside
       the guarded branch, so a design with tracing disabled pays one
       pointer compare per assignment and allocates nothing — the
-      property the [BENCH_sim.json] guard and the null-sink smoke test
+      property the [bench] throughput guard and the null-sink smoke test
       hold it to.
     - Callbacks must not raise: an observer never changes simulation
       outcomes.  (The oracle's trace gate additionally checks that

@@ -10,9 +10,10 @@
 #      `dune runtest`);
 #   5. duplication guards: the atomic durable write (fsync + rename)
 #      lives only in lib/durable/, the looped example designs are
-#      built only by the scenario registry (lib/scenario/), and the CLI
-#      and the daemon resolve sweep jobs only through Sweep.Job, so
-#      none grows a second copy again;
+#      built only by the scenario registry (lib/scenario/), the CLI
+#      and the daemon resolve sweep jobs only through Sweep.Job, and
+#      the bench baseline files are named, written and read only by
+#      lib/oracle/bench_guard.ml, so none grows a second copy again;
 #   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
@@ -80,6 +81,13 @@ fi
 if grep -rnE 'Sweep\.Generator\.(grid|bisect|pareto)|Sweep\.Checkpoint\.sweep_key' bin lib/serve \
   --include='*.ml' --include='*.mli'; then
   echo "check.sh: a sweep job resolved outside lib/sweep/job.ml (use Sweep.Job.resolve/checkpoint_key)" >&2
+  exit 1
+fi
+# One bench-baseline format: only Bench_guard names the BENCH_*.json
+# files (and so only it writes and reads them).
+if grep -rn 'BENCH_' lib bin bench --include='*.ml' --include='*.mli' \
+  | grep -v '^lib/oracle/bench_guard\.ml:'; then
+  echo "check.sh: a bench baseline file named outside lib/oracle/bench_guard.ml (record/read it through Oracle.Bench_guard)" >&2
   exit 1
 fi
 with_timeout 60 sh scripts/check_links.sh

@@ -29,6 +29,8 @@ let test_chaos_before_domains () =
         Alcotest.failf "chaos must run before %s (it spawns domains)" g)
     [ "sweep"; "trace"; "faults"; "compiled"; "serve"; "sync" ]
 
+let guards = Oracle.Bench_guard.[ sim; compiled; verify; sync ]
+
 let test_bench_rows_resolve () =
   List.iter
     (fun (guard : Oracle.Bench_guard.guard) ->
@@ -44,29 +46,117 @@ let test_bench_rows_resolve () =
             Alcotest.failf "%s: row %s measures unknown design %s"
               guard.Oracle.Bench_guard.file r.Oracle.Bench_guard.name s)
         guard.Oracle.Bench_guard.rows)
-    Oracle.Bench_guard.[ sim; compiled; verify; sync ]
+    guards
 
 let test_guard_threshold () =
   let report ratio =
-    {
-      Oracle.Bench_guard.title = "bench guard";
-      note = None;
-      entries =
-        [
-          {
-            Oracle.Bench_guard.bench = "row";
-            samples_per_run = 1;
-            baseline = 1.0;
-            measured = ratio;
-            ratio;
-          };
-        ];
-    }
+    Oracle.Bench_guard.score Oracle.Bench_guard.sim
+      [ ("row", 1.0) ] [ ("row", ratio) ]
   in
   Alcotest.(check bool) "0.79x fails" false
     (Oracle.Bench_guard.passed (report 0.79));
   Alcotest.(check bool) "0.80x passes" true
     (Oracle.Bench_guard.passed (report 0.80))
+
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let test_report_unit () =
+  let g = Oracle.Bench_guard.verify in
+  let text =
+    Format.asprintf "%a" Oracle.Bench_guard.pp_report
+      (Oracle.Bench_guard.score g
+         [ ("verify-biquad-proof", 100.0) ]
+         [ ("verify-biquad-proof", 90.0) ])
+  in
+  if not (contains "90 transitions/sec vs baseline" text) then
+    Alcotest.failf "verify report lacks its unit:\n%s" text
+
+let figures (g : Oracle.Bench_guard.guard) =
+  List.mapi
+    (fun i (r : Oracle.Bench_guard.row) ->
+      (r.Oracle.Bench_guard.name, Float.of_int (i + 1) *. 1234567.891))
+    g.Oracle.Bench_guard.rows
+
+let rows_t = Alcotest.(result (list (pair string (float 0.0))) string)
+
+let test_baseline_roundtrip () =
+  List.iter
+    (fun g ->
+      let rows = figures g in
+      Alcotest.check rows_t g.Oracle.Bench_guard.file (Ok rows)
+        Oracle.Bench_guard.(read g (write g rows)))
+    guards
+
+(* Each broken shape is an [Error] naming the file (and the row). *)
+let test_baseline_broken () =
+  let g = Oracle.Bench_guard.sync in
+  let good = Oracle.Bench_guard.write g (figures g) in
+  let expect_error what text names =
+    match Oracle.Bench_guard.read g text with
+    | Ok _ -> Alcotest.failf "%s: read Ok" what
+    | Error e ->
+        List.iter
+          (fun sub ->
+            if not (contains sub e) then
+              Alcotest.failf "%s: error %S does not name %s" what e sub)
+          (g.Oracle.Bench_guard.file :: names)
+  in
+  expect_error "malformed" (String.sub good 0 (String.length good - 3)) [];
+  expect_error "wrong unit"
+    (Oracle.Bench_guard.write { g with unit = "lane-samples/sec" } (figures g))
+    [ "unit" ];
+  expect_error "missing row"
+    (Oracle.Bench_guard.write g [ List.hd (figures g) ])
+    [ "sync-gardner-pam2" ];
+  expect_error "stray row"
+    (Oracle.Bench_guard.write g (figures g @ [ ("sync-old", 1.0) ]))
+    [ "sync-old" ]
+
+(* [run] fails a broken file before measuring anything, and skips (and
+   passes) a missing one. *)
+let test_baseline_run () =
+  let file = Filename.temp_file "bench_guard" ".json" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "{\"unit\": ");
+  let broken = Oracle.Bench_guard.(run { sync with file }) in
+  Sys.remove file;
+  Alcotest.(check bool) "broken file fails" false
+    (Oracle.Bench_guard.passed broken);
+  Alcotest.(check bool) "broken file measures nothing" true
+    (broken.Oracle.Bench_guard.entries = []);
+  Alcotest.(check bool) "broken file is named" true
+    (match broken.Oracle.Bench_guard.error with
+    | Some e -> contains file e
+    | None -> false);
+  let missing = Oracle.Bench_guard.(run { sync with file }) in
+  Alcotest.(check bool) "missing file passes" true
+    (Oracle.Bench_guard.passed missing);
+  Alcotest.(check bool) "missing file is skipped" true
+    (missing.Oracle.Bench_guard.note <> None)
+
+(* The committed baselines, at the repo root. *)
+let test_committed_baselines () =
+  List.iter
+    (fun g ->
+      let file = g.Oracle.Bench_guard.file in
+      match
+        Oracle.Bench_guard.read g
+          (In_channel.with_open_bin (Filename.concat "../.." file)
+             In_channel.input_all)
+      with
+      | Error e -> Alcotest.fail e
+      | Ok rows ->
+          Alcotest.(check (list string))
+            (file ^ ": every guarded row")
+            (List.map
+               (fun (r : Oracle.Bench_guard.row) -> r.Oracle.Bench_guard.name)
+               g.Oracle.Bench_guard.rows)
+            (List.map fst rows);
+          if List.mem_assoc "unit" rows then
+            Alcotest.failf "%s: a row named unit" file)
+    guards
 
 let test_jobs_resolved () =
   Alcotest.(check int) "explicit, clamped to 2" 2 (Oracle.Gates.jobs (Some 1));
@@ -81,5 +171,15 @@ let suite =
         test_chaos_before_domains;
       Alcotest.test_case "bench rows resolve" `Quick test_bench_rows_resolve;
       Alcotest.test_case "guard fails below 0.8x" `Quick test_guard_threshold;
+      Alcotest.test_case "report prints the guard's unit" `Quick
+        test_report_unit;
+      Alcotest.test_case "baseline write/read round-trip" `Quick
+        test_baseline_roundtrip;
+      Alcotest.test_case "broken baseline is an error" `Quick
+        test_baseline_broken;
+      Alcotest.test_case "broken baseline fails the guard" `Quick
+        test_baseline_run;
+      Alcotest.test_case "committed baselines read" `Quick
+        test_committed_baselines;
       Alcotest.test_case "jobs resolved once" `Quick test_jobs_resolved;
     ] )
