@@ -59,6 +59,13 @@ let print_flow_result env (result : Refine.Flow.result) =
 
 (* --- common options ---------------------------------------------------- *)
 
+(* The conformance workloads' names, for the help texts and errors. *)
+let workload_names =
+  List.map (fun (w : Oracle.Workloads.t) -> w.Oracle.Workloads.name)
+    Oracle.Workloads.all
+
+let workload_alternatives = String.concat "|" workload_names
+
 let symbols_t =
   Arg.(value & opt int 4000 & info [ "n"; "symbols" ] ~doc:"Workload size.")
 
@@ -128,19 +135,28 @@ let config_of k_lsb =
     Refine.Flow.lsb = { Refine.Lsb_rules.default_config with k_lsb };
   }
 
+(* Refine a registry design, observed under --trace/--counters, and
+   print the report. *)
+let refine_scenario ~label ~config ~sqnr_signal ~trace_file ~counters_file
+    (sc : _ Scenario.t) =
+  let env = sc.Scenario.env in
+  print_flow_result env
+    (with_observability ~trace_file ~counters_file ~label env (fun () ->
+         Refine.Flow.refine ~config ~sqnr_signal sc.Scenario.design))
+
+(* The refinement subcommands' options, in [run]'s argument order. *)
+let refine_term run =
+  Term.(
+    const run $ symbols_t $ seed_t $ k_lsb_t $ trace_file_t $ counters_file_t
+    $ verbose_t)
+
 (* --- equalizer --------------------------------------------------------- *)
 
 let run_equalizer n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
   let sc = Scenario.lms ~n_symbols:n ~seed ~record:true () in
-  let env = sc.Scenario.env in
-  let result =
-    with_observability ~trace_file ~counters_file ~label:"equalizer" env
-      (fun () ->
-        Refine.Flow.refine ~config:(config_of k_lsb) ~sqnr_signal:"v[3]"
-          sc.Scenario.design)
-  in
-  print_flow_result env result;
+  refine_scenario ~label:"equalizer" ~config:(config_of k_lsb)
+    ~sqnr_signal:"v[3]" ~trace_file ~counters_file sc;
   let decided = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
   Format.printf "SER: %.4f@."
     (Dsp.Pam.best_ser ~skip:100 ~sent:(sc.Scenario.sent ()) ~decided ())
@@ -148,25 +164,16 @@ let run_equalizer n seed k_lsb trace_file counters_file verbose =
 let equalizer_cmd =
   Cmd.v
     (Cmd.info "equalizer" ~doc:"Refine the LMS equalizer (Fig. 1).")
-    Term.(
-      const run_equalizer $ symbols_t $ seed_t $ k_lsb_t $ trace_file_t
-      $ counters_file_t $ verbose_t)
+    (refine_term run_equalizer)
 
 (* --- timing recovery --------------------------------------------------- *)
 
 let run_timing n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
   let sc = Scenario.timing ~n_symbols:n ~seed ~record:true () in
-  let env = sc.Scenario.env in
-  let config =
-    { (config_of k_lsb) with Refine.Flow.auto_error_lsb = -8 }
-  in
-  let result =
-    with_observability ~trace_file ~counters_file ~label:"timing" env
-      (fun () ->
-        Refine.Flow.refine ~config ~sqnr_signal:"out" sc.Scenario.design)
-  in
-  print_flow_result env result;
+  refine_scenario ~label:"timing"
+    ~config:{ (config_of k_lsb) with Refine.Flow.auto_error_lsb = -8 }
+    ~sqnr_signal:"out" ~trace_file ~counters_file sc;
   let decided = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
   Format.printf "SER after lock: %.4f@."
     (Dsp.Pam.best_ser ~skip:500 ~sent:(sc.Scenario.sent ()) ~decided ())
@@ -174,9 +181,7 @@ let run_timing n seed k_lsb trace_file counters_file verbose =
 let timing_cmd =
   Cmd.v
     (Cmd.info "timing" ~doc:"Refine the PAM timing-recovery loop (Fig. 5).")
-    Term.(
-      const run_timing $ symbols_t $ seed_t $ k_lsb_t $ trace_file_t
-      $ counters_file_t $ verbose_t)
+    (refine_term run_timing)
 
 (* --- timing-ml: the closed ML-TED synchronizer ------------------------- *)
 
@@ -184,7 +189,7 @@ let run_timing_ml n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
   let decisions = Sim.Channel.create ~record:true "decisions" in
   let sc = Scenario.sync ~n_symbols:n ~seed ~record:true ~decisions () in
-  let env = sc.Scenario.env and sy = sc.Scenario.block in
+  let sy = sc.Scenario.block in
   let design = sc.Scenario.design and sent = sc.Scenario.sent () in
   (* float reference pass: lock quality before any quantization *)
   design.Refine.Flow.reset ();
@@ -198,12 +203,9 @@ let run_timing_ml n seed k_lsb trace_file counters_file verbose =
   Format.printf
     "float lock: MER %.2f dB, strobe-rate error %.4f@." float_mer
     (Dsp.Synchronizer.strobe_rate_error sy);
-  let config = Scenario.overrule_nco_phase sc (config_of k_lsb) in
-  let result =
-    with_observability ~trace_file ~counters_file ~label:"timing-ml" env
-      (fun () -> Refine.Flow.refine ~config ~sqnr_signal:"out" design)
-  in
-  print_flow_result env result;
+  refine_scenario ~label:"timing-ml"
+    ~config:(Scenario.overrule_nco_phase sc (config_of k_lsb))
+    ~sqnr_signal:"out" ~trace_file ~counters_file sc;
   design.Refine.Flow.reset ();
   design.Refine.Flow.run ();
   let refined_mer = mer_now () in
@@ -227,57 +229,20 @@ let timing_ml_cmd =
          "Refine the closed ML-TED symbol-timing synchronizer (4-PAM, \
           drifting tau), with the \\$(b,\\\\S6.1) error() overrule on the \
           NCO phase; reports MER/EVM and strobe-rate lock besides SQNR.")
-    Term.(
-      const run_timing_ml $ symbols_t $ seed_t $ k_lsb_t $ trace_file_t
-      $ counters_file_t $ verbose_t)
+    (refine_term run_timing_ml)
 
 (* --- cordic ------------------------------------------------------------ *)
 
 let run_cordic n seed k_lsb trace_file counters_file verbose =
   setup_logs verbose;
-  let env = Sim.Env.create ~seed:31 () in
-  let rng = Stats.Rng.create ~seed in
-  let iters = 12 in
-  let cordic = Dsp.Cordic.create env ~iters () in
-  let in_dtype = Fixpt.Dtype.make "T_in" ~n:12 ~f:10 () in
-  let xin = Sim.Signal.create env ~dtype:in_dtype "xin" in
-  let yin = Sim.Signal.create env ~dtype:in_dtype "yin" in
-  let zin = Sim.Signal.create env ~dtype:in_dtype "zin" in
-  Sim.Signal.range xin (-1.0) 1.0;
-  Sim.Signal.range yin (-1.0) 1.0;
-  Sim.Signal.range zin (-1.6) 1.6;
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run =
-        (fun () ->
-          let local = Stats.Rng.copy rng in
-          Sim.Engine.run env ~cycles:n (fun _ ->
-              let open Sim.Ops in
-              let phi = Stats.Rng.uniform local ~lo:0.0 ~hi:6.28318 in
-              xin <-- Sim.Value.of_float (cos phi);
-              yin <-- Sim.Value.of_float (sin phi);
-              zin
-              <-- Sim.Value.of_float (Stats.Rng.uniform local ~lo:(-1.5) ~hi:1.5);
-              ignore (Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin)));
-    }
-  in
-  let probe = Printf.sprintf "cor_x[%d]" iters in
-  let result =
-    with_observability ~trace_file ~counters_file ~label:"cordic" env
-      (fun () ->
-        Refine.Flow.refine ~config:(config_of k_lsb) ~sqnr_signal:probe
-          design)
-  in
-  print_flow_result env result
+  let sc = Scenario.cordic ~n ~seed () in
+  refine_scenario ~label:"cordic" ~config:(config_of k_lsb)
+    ~sqnr_signal:sc.Scenario.probe ~trace_file ~counters_file sc
 
 let cordic_cmd =
   Cmd.v
     (Cmd.info "cordic" ~doc:"Refine a 12-stage CORDIC rotator.")
-    Term.(
-      const run_cordic $ symbols_t $ seed_t $ k_lsb_t $ trace_file_t
-      $ counters_file_t $ verbose_t)
+    (refine_term run_cordic)
 
 (* --- quantize ----------------------------------------------------------- *)
 
@@ -675,10 +640,7 @@ let run_trace workload_name out_path counters_file ring_cap verbose =
   match Oracle.Workloads.find workload_name with
   | None ->
       Format.eprintf "unknown workload %S (available: %s)@." workload_name
-        (String.concat ", "
-           (List.map
-              (fun (w : Oracle.Workloads.t) -> w.Oracle.Workloads.name)
-              Oracle.Workloads.all));
+        (String.concat ", " workload_names);
       exit 1
   | Some w ->
       let b = w.Oracle.Workloads.build () in
@@ -719,7 +681,9 @@ let trace_cmd =
     Arg.(
       value & pos 0 string "fir"
       & info [] ~docv:"WORKLOAD"
-          ~doc:"Conformance workload to trace (fir|lms|cordic|timing|ddc).")
+          ~doc:
+            (Printf.sprintf "Conformance workload to trace (%s)."
+               workload_alternatives))
   in
   let out_t =
     Arg.(
@@ -840,96 +804,30 @@ let run_compile workload_name batch steps verbose =
   let all_ok = ref true in
   List.iter
     (fun (w : Oracle.Workloads.t) ->
-      let b = w.Oracle.Workloads.build () in
-      match b.Oracle.Workloads.extract_graph with
-      | None ->
-          Format.printf "%-8s no extractor@." w.Oracle.Workloads.name
-      | Some extract -> (
-          match Compile.compile ~batch (extract ()) with
-          | exception Compile.Cannot_compile msg ->
-              all_ok := false;
-              Format.printf "%-8s cannot compile: %s@."
-                w.Oracle.Workloads.name msg
-          | prog ->
-              (* quick equality spot-check, then throughput *)
-              let g = extract () in
-              let plan = Fault.Plan.make ~seed:97 () in
-              let ranges = Hashtbl.create 8 in
-              List.iter
-                (fun (n : Sfg.Node.t) ->
-                  match n.Sfg.Node.op with
-                  | Sfg.Node.Input iv ->
-                      let lo = Interval.lo iv and hi = Interval.hi iv in
-                      let r =
-                        if
-                          Float.is_finite lo && Float.is_finite hi
-                          && hi -. lo > 0.0
-                          && hi -. lo <= 1e6
-                        then (lo, hi)
-                        else (-1.0, 1.0)
-                      in
-                      Hashtbl.replace ranges n.Sfg.Node.name r
-                  | _ -> ())
-                (Sfg.Graph.nodes g);
-              let stim name lane step =
-                let lo, hi =
-                  match Hashtbl.find_opt ranges name with
-                  | Some r -> r
-                  | None -> (-1.0, 1.0)
-                in
-                let u =
-                  Fault.Plan.draw plan ~stream:"stim"
-                    ~key:(Printf.sprintf "%d:%s" lane name)
-                    ~index:step
-                in
-                lo +. (u *. (hi -. lo))
-              in
-              let prog_eq = Compile.compile ~batch:2 g in
-              let ct =
-                Compile.traces prog_eq ~steps:32
-                  ~inputs:(fun name ~lane step -> stim name lane step)
-              in
-              let mism = ref 0 in
-              for lane = 0 to 1 do
-                let it =
-                  Sfg.Graph.simulate g ~steps:32 ~inputs:(fun name step ->
-                      stim name lane step)
-                in
-                List.iter2
-                  (fun (_, per_lane) (_, itr) ->
-                    Array.iteri
-                      (fun s iv ->
-                        if
-                          Int64.bits_of_float per_lane.(lane).(s)
-                          <> Int64.bits_of_float iv
-                        then incr mism)
-                      itr)
-                  ct it
-              done;
-              if !mism > 0 then all_ok := false;
-              let buf =
-                Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75)
-              in
-              let inputs _name ~lane step =
-                Array.unsafe_get buf ((lane + (step * 31)) land 8191)
-              in
-              Compile.run prog ~steps ~inputs;
-              let reps = ref 0 in
-              let t0 = Sys.time () in
-              let elapsed () = Sys.time () -. t0 in
-              while elapsed () < 0.3 || !reps = 0 do
-                Compile.run prog ~steps ~inputs;
-                incr reps
-              done;
-              let sps =
-                Float.of_int (!reps * steps * batch) /. elapsed ()
-              in
-              Format.printf
-                "%-8s %3d nodes -> %3d instrs  B=%-3d %8d steps/run  \
-                 %12.0f lane-samples/sec  equality(B=2,32 steps): %s@."
-                w.Oracle.Workloads.name (Compile.node_count prog)
-                (Compile.instr_count prog) batch steps sps
-                (if !mism = 0 then "ok" else Printf.sprintf "%d MISMATCHES" !mism)))
+      let name = w.Oracle.Workloads.name in
+      let g = Oracle.Workloads.flowgraph w in
+      match Compile.compile ~batch g with
+      | exception Compile.Cannot_compile msg ->
+          all_ok := false;
+          Format.printf "%-8s cannot compile: %s@." name msg
+      | prog ->
+          (* the compiled gate's equality check, then the compiled
+             bench guard's throughput *)
+          let plan = Fault.Plan.make ~seed:97 () in
+          let mism =
+            Oracle.Compile_check.(mismatches ~stim:(stimulus plan g) g)
+          in
+          if mism > 0 then all_ok := false;
+          let sps =
+            Oracle.Bench_guard.compiled_throughput prog ~steps ~budget:0.3
+          in
+          Format.printf
+            "%-8s %3d nodes -> %3d instrs  B=%-3d %8d steps/run  \
+             %12.0f lane-samples/sec  %s: %s@."
+            name (Compile.node_count prog) (Compile.instr_count prog) batch
+            steps sps Oracle.Compile_check.equality_label
+            (if mism = 0 then "ok"
+             else Printf.sprintf "%d MISMATCHES" mism))
     workloads;
   if not !all_ok then exit 1
 
@@ -939,7 +837,8 @@ let compile_cmd =
       value & pos 0 string "all"
       & info [] ~docv:"WORKLOAD"
           ~doc:
-            "Conformance workload to compile (fir|lms|cordic|timing|ddc|all).")
+            (Printf.sprintf "Conformance workload to compile (%s|all)."
+               workload_alternatives))
   in
   let batch_t =
     Arg.(
@@ -961,22 +860,6 @@ let compile_cmd =
 
 (* --- verify: the sound bit-level verification oracle -------------------- *)
 
-let verify_targets () =
-  List.map
-    (fun (w : Oracle.Workloads.t) ->
-      ( w.Oracle.Workloads.name,
-        fun () ->
-          let b = w.Oracle.Workloads.build () in
-          match b.Oracle.Workloads.extract_graph with
-          | Some f -> f ()
-          | None -> (
-              match b.Oracle.Workloads.graph with
-              | Some g -> g
-              | None ->
-                  failwith ("no flowgraph for " ^ w.Oracle.Workloads.name)) ))
-    Oracle.Workloads.all
-  @ Verify.Designs.all
-
 let run_verify design prop_str max_bits depth max_states json verbose =
   setup_logs verbose;
   let properties =
@@ -990,16 +873,17 @@ let run_verify design prop_str max_bits depth max_states json verbose =
               "verify: unknown property %S (overflow|limit-cycle|all)@." s;
             exit 1)
   in
+  let all = Oracle.Verify_check.targets () in
   let targets =
     match design with
-    | "all" -> verify_targets ()
+    | "all" -> all
     | name -> (
-        match List.assoc_opt name (verify_targets ()) with
+        match List.assoc_opt name all with
         | Some mk -> [ (name, mk) ]
         | None ->
             Format.eprintf "verify: unknown design %S (available: %s, all)@."
               name
-              (String.concat ", " (List.map fst (verify_targets ())));
+              (String.concat ", " (List.map fst all));
             exit 1)
   in
   let t0 = Unix.gettimeofday () in
@@ -1051,9 +935,11 @@ let verify_cmd =
       value & pos 0 string "all"
       & info [] ~docv:"DESIGN"
           ~doc:
-            "Design flowgraph to verify: a conformance workload \
-             (fir|lms|cordic|timing|ddc), a pinned exemplar \
-             (biquad-under|biquad-repaired), or \\$(b,all).")
+            (Printf.sprintf
+               "Design flowgraph to verify: a conformance workload (%s), a \
+                pinned exemplar (%s), or \\$(b,all)."
+               workload_alternatives
+               (String.concat "|" (List.map fst Verify.Designs.all))))
   in
   let property_t =
     Arg.(

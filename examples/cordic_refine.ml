@@ -16,42 +16,13 @@
 open Fixrefine
 
 let iters = 12
-let n_vectors = 2000
 
 let () =
-  let env = Sim.Env.create ~seed:31 () in
-  let rng = Stats.Rng.create ~seed:4 in
-  let cordic = Dsp.Cordic.create env ~iters () in
-  (* inputs: unit-circle vectors with |z| <= pi/2, quantized as if from
-     a 12-bit front end *)
-  let in_dtype = Fixpt.Dtype.make "T_in" ~n:12 ~f:10 () in
-  let xin = Sim.Signal.create env ~dtype:in_dtype "xin" in
-  let yin = Sim.Signal.create env ~dtype:in_dtype "yin" in
-  let zin = Sim.Signal.create env ~dtype:in_dtype "zin" in
-  Sim.Signal.range xin (-1.0) 1.0;
-  Sim.Signal.range yin (-1.0) 1.0;
-  Sim.Signal.range zin (-1.6) 1.6;
-  let stim = Array.init n_vectors (fun _ ->
-      let phi = Stats.Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi) in
-      let z = Stats.Rng.uniform rng ~lo:(-1.5) ~hi:1.5 in
-      (cos phi, sin phi, z))
-  in
-  let step i =
-    let open Sim.Ops in
-    let x, y, z = stim.(i mod n_vectors) in
-    xin <-- Sim.Value.of_float x;
-    yin <-- Sim.Value.of_float y;
-    zin <-- Sim.Value.of_float z;
-    ignore (Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin)
-  in
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run = (fun () -> Sim.Engine.run env ~cycles:n_vectors step);
-    }
-  in
-  let last_x = Printf.sprintf "cor_x[%d]" iters in
+  (* the registry's rotator: 2000 unit-circle vectors with |z| <= 1.5,
+     quantized as if from a 12-bit front end *)
+  let sc = Scenario.cordic () in
+  let env = sc.Scenario.env and design = sc.Scenario.design in
+  let last_x = sc.Scenario.probe in
   let result = Refine.Flow.refine ~sqnr_signal:last_x design in
 
   Format.printf "=== CORDIC MSB analysis ===@.";
@@ -68,24 +39,22 @@ let () =
       Format.printf "SQNR at %s: %.1f dB -> %.1f dB@." last_x b a
   | _ -> ());
 
-  (* accuracy of the refined rotator against the exact rotation *)
+  (* accuracy of the refined rotator against the exact rotation: replay
+     the first 500 vectors, reading each input back from its signal's
+     float side *)
+  let fl name = Sim.Signal.peek_fl (Sim.Env.find_exn env name) in
   let sq = Stats.Sqnr.create () in
   let max_err = ref 0.0 in
-  Array.iteri
-    (fun i (x, y, z) ->
-      if i < 500 then begin
-        let open Sim.Ops in
-        xin <-- Sim.Value.of_float x;
-        yin <-- Sim.Value.of_float y;
-        zin <-- Sim.Value.of_float z;
-        let xo, _yo =
-          Dsp.Cordic.rotate cordic ~x:!!xin ~y:!!yin ~z:!!zin
-        in
-        let xr, _yr = Dsp.Cordic.reference ~iters ~x ~y ~z in
-        Stats.Sqnr.add sq ~reference:xr ~actual:(Sim.Value.fx xo);
-        max_err := Float.max !max_err (Float.abs (xr -. Sim.Value.fx xo))
-      end)
-    stim;
+  design.Refine.Flow.reset ();
+  for _ = 1 to 500 do
+    sc.Scenario.step ();
+    let xr, _yr =
+      Dsp.Cordic.reference ~iters ~x:(fl "xin") ~y:(fl "yin") ~z:(fl "zin")
+    in
+    let xo = Sim.Signal.peek_fx (Sim.Env.find_exn env last_x) in
+    Stats.Sqnr.add sq ~reference:xr ~actual:xo;
+    max_err := Float.max !max_err (Float.abs (xr -. xo))
+  done;
   Format.printf
     "refined rotator vs exact rotation: %.1f dB, max |err| = %.2e@."
     (Stats.Sqnr.db sq) !max_err

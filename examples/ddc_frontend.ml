@@ -10,61 +10,15 @@
 
 open Fixrefine
 
-let fcw = 0.15625 (* 5/32 cycles/sample *)
 let rate = 4
 let order = 2
-let n_samples = 4096
 
 let () =
-  let env = Sim.Env.create ~seed:7 () in
-  let rng = Stats.Rng.create ~seed:31 in
-  let stim =
-    Array.init n_samples (fun n ->
-        (0.7 *. cos (2.0 *. Float.pi *. fcw *. Float.of_int n))
-        +. (0.05 *. Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
-  in
-  let x_dtype = Fixpt.Dtype.make "T_if" ~n:10 ~f:8 () in
-  let x = Sim.Signal.create env ~dtype:x_dtype "x" in
-  Sim.Signal.range x (-1.0) 1.0;
-  let ddc = Dsp.Ddc.create env ~fcw ~rate ~order () in
-  (* knowledge-based bounds on the control states *)
-  Sim.Signal.range (Dsp.Ddc.phase ddc) 0.0 1.0;
-  (* CIC integrators are the one place where no statistical rule gives
-     the right answer: their true values ramp without bound, and the
-     correct designer type is wrap-around at the Hogenauer width
-     (N·log2 R + B_in bits) — modular arithmetic makes the decimated
-     comb output exact anyway.  Pre-type them (the "partial type
-     definition" includes architecture knowledge, not just inputs). *)
-  let mixer_frac = 8 in
-  let hog_bits = (order * 2 (* log2 rate *)) + 10 in
-  let cic_reg_dt =
-    Fixpt.Dtype.make "T_cic" ~n:hog_bits ~f:mixer_frac
-      ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Floor ()
-  in
-  let type_cic prefix =
-    List.iter
-      (fun s -> Sim.Signal.set_dtype s cic_reg_dt)
-      (List.filter
-         (fun s ->
-           let n = Sim.Signal.name s in
-           String.length n > String.length prefix
-           && String.sub n 0 (String.length prefix) = prefix)
-         (Sim.Env.signals env))
-  in
-  type_cic "ddc_ci_";
-  type_cic "ddc_cq_";
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run =
-        (fun () ->
-          Sim.Engine.run env ~cycles:n_samples (fun c ->
-              let open Sim.Ops in
-              x <-- Sim.Value.of_float stim.(c);
-              ignore (Dsp.Ddc.step ddc !!x)));
-    }
-  in
+  (* the registry's front end: 4096 samples of a noisy 0.7 IF tone at
+     fcw = 5/32, the NCO phase bounded to [0, 1] by knowledge, and the
+     CIC integrators pre-typed wrap-around at the Hogenauer width *)
+  let sc = Scenario.ddc () in
+  let env = sc.Scenario.env and design = sc.Scenario.design in
   let result = Refine.Flow.refine ~sqnr_signal:"ddc_i" design in
 
   Format.printf "=== DDC refinement summary ===@.";

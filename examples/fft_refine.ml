@@ -8,39 +8,9 @@
 
 open Fixrefine
 
-let n = 16
-let transforms = 200
-
-let build ~scale =
-  let env = Sim.Env.create ~seed:17 () in
-  let rng = Stats.Rng.create ~seed:23 in
-  let stim =
-    Array.init (transforms * n) (fun _ -> Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-  in
-  let in_dtype = Fixpt.Dtype.make "T_in" ~n:10 ~f:8 () in
-  let xr = Sim.Sig_array.create env ~dtype:in_dtype "xr" n in
-  Sim.Sig_array.range xr (-1.0) 1.0;
-  let fft = Dsp.Fft.create env ~scale ~n () in
-  let design =
-    {
-      Refine.Flow.env;
-      reset = (fun () -> Sim.Env.reset env);
-      run =
-        (fun () ->
-          Sim.Engine.run env ~cycles:transforms (fun c ->
-              let open Sim.Ops in
-              let input =
-                Array.init n (fun i ->
-                    let s = Sim.Sig_array.get xr i in
-                    s <-- Sim.Value.of_float stim.((c * n) + i);
-                    (!!s, cst 0.0))
-              in
-              ignore (Dsp.Fft.transform fft input)));
-    }
-  in
-  (env, fft, design, stim)
-
-let stage_profile env fft =
+(* the largest MSB position the monitors saw in each stage, input to
+   output *)
+let stage_profile fft =
   List.init
     (Dsp.Fft.stage_count fft + 1)
     (fun s ->
@@ -51,21 +21,20 @@ let stage_profile env fft =
           | None -> acc)
         min_int
         (Dsp.Fft.stage_signals fft s))
-  |> fun l ->
-  ignore env;
-  l
 
 let () =
   List.iter
     (fun scale ->
-      let env, fft, design, stim = build ~scale in
-      let probe = Printf.sprintf "fft_re%d[0]" (Dsp.Fft.stage_count fft) in
-      let result = Refine.Flow.refine ~sqnr_signal:probe design in
+      let sc = Scenario.fft ~scale () in
+      let fft = sc.Scenario.block in
+      let n = Dsp.Fft.size fft in
+      let probe = sc.Scenario.probe and stim = sc.Scenario.sent () in
+      let result = Refine.Flow.refine ~sqnr_signal:probe sc.Scenario.design in
       Format.printf "=== %s ===@."
         (if scale then "1/2-per-stage scaling" else "unscaled butterflies");
       Format.printf "stage MSB profile: %s@."
         (String.concat " -> "
-           (List.map string_of_int (stage_profile env fft)));
+           (List.map string_of_int (stage_profile fft)));
       let bits =
         List.fold_left (fun a (_, dt) -> a + Fixpt.Dtype.n dt) 0
           result.Refine.Flow.types

@@ -17,36 +17,14 @@
 
 open Fixrefine
 
-let n_symbols = 4000
 let tau = 0.3 (* static timing offset, symbol periods *)
 
-let make_design () =
-  let env = Sim.Env.create ~seed:5 () in
-  let rng = Stats.Rng.create ~seed:99 in
-  let stimulus, sent, n_samples =
-    Dsp.Channel_model.timing_offset_pam ~rng ~n_symbols ~tau ()
-  in
-  let input = Sim.Channel.of_fun "rx" stimulus in
-  let output = Sim.Channel.create ~record:true "symbols" in
-  let x_dtype = Fixpt.Dtype.make "T_input" ~n:10 ~f:8 () in
-  let tr = Dsp.Timing_recovery.create env ~x_dtype ~input ~output () in
-  Sim.Signal.range (Dsp.Timing_recovery.input_signal tr) (-1.6) 1.6;
-  let design =
-    {
-      Refine.Flow.env;
-      reset =
-        (fun () ->
-          Sim.Env.reset env;
-          Sim.Channel.clear input;
-          Sim.Channel.clear output);
-      run = (fun () -> Dsp.Timing_recovery.run tr ~samples:n_samples);
-    }
-  in
-  (tr, design, sent, output)
-
 let () =
-  let tr, design, sent, output = make_design () in
-  let env = design.Refine.Flow.env in
+  (* the registry's loop on 4000 symbols at offset tau, without its
+     knowledge ranges: this example adds them by hand below *)
+  let sc = Scenario.timing ~knowledge_ranges:false ~record:true () in
+  let design = sc.Scenario.design and env = sc.Scenario.env in
+  let tr = sc.Scenario.block in
   Format.printf "design declares %d signals subject to refinement@.@."
     (List.length (Sim.Env.signals env));
 
@@ -121,7 +99,8 @@ let () =
   | _ -> ());
 
   (* does the refined loop still recover timing? *)
-  let decided = Array.of_list (Sim.Channel.recorded output) in
+  let decided = Array.of_list (Sim.Channel.recorded sc.Scenario.output) in
+  let sent = sc.Scenario.sent () in
   let ser = Dsp.Pam.best_ser ~skip:500 ~sent ~decided () in
   Format.printf "strobes: %d, decisions: %d, SER after lock: %.4f@."
     (Dsp.Timing_recovery.strobes tr)

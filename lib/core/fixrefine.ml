@@ -29,10 +29,11 @@
     - {!Dsp}: the paper's example designs (LMS equalizer, PAM timing
       recovery) and a block library;
     - {!Scenario}: the scenario registry — the 5-tap FIR, the LMS
-      equalizer, the timing-recovery loop and the closed synchronizer,
+      equalizer, the timing-recovery loop, the closed synchronizer,
+      the CORDIC-12 rotator, the DDC front end and the 16-point FFT,
       each declared once (stimulus, input type, knowledge ranges,
       probe, extract closure) for every workload, gate, guard, CLI
-      subcommand and bench experiment that runs them;
+      subcommand, bench experiment and example that runs them;
     - {!Sweep}: the parallel (multicore) wordlength/stimuli exploration
       engine behind [fxrefine sweep];
     - {!Fault}: seeded deterministic fault injection (stimulus

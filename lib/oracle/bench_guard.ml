@@ -121,31 +121,31 @@ let sync =
 let scenario_graph name =
   match Workloads.find name with
   | None -> failwith ("Bench_guard: unknown workload " ^ name)
-  | Some w -> (
-      let b = w.Workloads.build () in
-      match b.Workloads.extract_graph with
-      | Some f -> f ()
-      | None -> failwith ("Bench_guard: workload has no extractor: " ^ name))
+  | Some w -> Workloads.flowgraph w
 
 (* Throughput counts lane-samples (steps x batch): the quantity a
    batched sweep consumes. *)
+let compiled_throughput prog ~steps =
+  let buf = Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75) in
+  let inputs _name ~lane step =
+    Array.unsafe_get buf ((lane + (step * 31)) land 8191)
+  in
+  fun ~budget ->
+    Float.of_int (steps * Compile.batch prog)
+    *. timed ~budget (fun () -> Compile.run prog ~steps ~inputs)
+
 let compiled_row (name, scenario, batch, steps) =
   {
     name;
     scenario;
     prepare =
       (fun () ->
-        let prog = Compile.compile ~batch (scenario_graph scenario) in
-        let buf =
-          Array.init 8192 (fun i -> Float.sin (Float.of_int i) *. 0.75)
+        let measure =
+          compiled_throughput
+            (Compile.compile ~batch (scenario_graph scenario))
+            ~steps
         in
-        let inputs _name ~lane step =
-          Array.unsafe_get buf ((lane + (step * 31)) land 8191)
-        in
-        fun ~budget ->
-          ( steps,
-            Float.of_int (steps * Compile.batch prog)
-            *. timed ~budget (fun () -> Compile.run prog ~steps ~inputs) ));
+        fun ~budget -> (steps, measure ~budget));
   }
 
 let compiled =

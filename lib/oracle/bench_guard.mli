@@ -68,6 +68,12 @@ val sim : guard
     executor at batch 1 and 64, in lane-samples/sec (steps × batch). *)
 val compiled : guard
 
+(** [compiled_throughput prog ~steps ~budget] is the lane-samples/sec
+    of [prog] over [steps] ticks of a fixed sine stimulus: one warm-up
+    run, then whole runs for [budget] seconds of CPU time (the
+    {!compiled} rows' measurement). *)
+val compiled_throughput : Compile.t -> steps:int -> budget:float -> float
+
 (** One whole verification run per repetition — the exhaustive biquad
     no-overflow proof and the bounded lms limit-cycle closure — in
     transitions/sec. *)

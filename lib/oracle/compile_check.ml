@@ -12,6 +12,11 @@ type report = { results : result list }
 
 let steps = 48
 let batches = [ 1; 4; 64 ]
+
+let equality_label =
+  Printf.sprintf "equality(B=%s,%d steps)"
+    (String.concat "/" (List.map string_of_int batches))
+    steps
 let bits = Int64.bits_of_float
 
 (* --- deterministic stimulus into each input's declared interval -------- *)

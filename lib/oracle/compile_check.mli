@@ -31,6 +31,26 @@ type report = { results : result list }
 (** Steps each equality run simulates (per lane). *)
 val steps : int
 
+(** ["equality(B=1/4/64,48 steps)"]: the batch sizes and steps
+    {!mismatches} runs, for a report line. *)
+val equality_label : string
+
+(** [stimulus plan g] is the sample [stim name lane step] fed to input
+    [name]: a {!Fault.Plan.draw} spread over the input node's declared
+    interval ([[-1, 1]] when that interval is non-finite, empty or
+    wider than 10{^6}).  Pure in its arguments. *)
+val stimulus : Fault.Plan.t -> Sfg.Graph.t -> string -> int -> int -> float
+
+(** Node samples (every node, step and lane, at each batch size of
+    {!equality_label}) where the compiled executor's bits differ from
+    {!Sfg.Graph.simulate} fed the same [stim] (and, when given, the same
+    per-lane [fault] function). *)
+val mismatches :
+  ?fault:(int -> name:string -> step:int -> float -> float) ->
+  stim:(string -> int -> int -> float) ->
+  Sfg.Graph.t ->
+  int
+
 (** Run the gate over every conformance workload. *)
 val run : unit -> report
 

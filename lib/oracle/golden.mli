@@ -38,6 +38,12 @@ val refine_report : Workloads.t -> string option
     libm-independent. *)
 val vhdl_cases : unit -> (string * string) list
 
+(** Compare [contents] with the golden file [dir/file] — [Match],
+    [Missing] or [Differ] naming the first differing line — or, with
+    [update:true], write it when it is absent ([Created]) or differs
+    ([Updated]). *)
+val compare_one : update:bool -> dir:string -> string -> string -> entry
+
 (** Compare (or, with [update:true], rewrite) every golden file —
     workload traces, refinement reports and the VHDL cases. *)
 val check : ?update:bool -> ?dir:string -> unit -> result

@@ -16,17 +16,7 @@ let properties = [ Verify.Engine.No_overflow; Verify.Engine.No_limit_cycle ]
 let targets () =
   List.map
     (fun (w : Workloads.t) ->
-      ( w.Workloads.name,
-        fun () ->
-          let b = w.Workloads.build () in
-          match b.Workloads.extract_graph with
-          | Some f -> f ()
-          | None -> (
-              match b.Workloads.graph with
-              | Some g -> g
-              | None ->
-                  failwith ("verify_check: no flowgraph for " ^ w.Workloads.name)
-              ) ))
+      (w.Workloads.name, fun () -> Workloads.flowgraph w))
     Workloads.all
   @ Verify.Designs.all
 
@@ -70,18 +60,22 @@ let cross_check_ranges g node =
                (Fixpt.Dtype.to_string dt))
     | _ -> Error (Printf.sprintf "refuted node %s is not a quantizer" node)
 
-let read_file path =
-  if Sys.file_exists path then
-    Some (In_channel.with_open_bin path In_channel.input_all)
-  else None
-
-let write_file path text =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+(* The counterexample's golden stimulus file, through {!Golden}: the
+   detail line and whether it passes. *)
+let stimulus_golden ~update ~dir file text =
+  let path = Filename.concat dir file in
+  match (Golden.compare_one ~update ~dir file text).Golden.outcome with
+  | Golden.Match -> ("matches " ^ path, true)
+  | Golden.Created -> ("created " ^ path, true)
+  | Golden.Updated -> ("updated " ^ path, true)
+  | Golden.Missing ->
+      ( Printf.sprintf "golden stimulus %s missing (run with --update-golden)"
+          path,
+        false )
+  | Golden.Differ d -> (Printf.sprintf "differs from %s: %s" path d, false)
 
 let run ?(update = false) ?dir () =
   let dir = match dir with Some d -> d | None -> Golden.default_dir () in
-  (if update && not (Sys.file_exists dir) then
-     try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   let results = ref [] in
   let push name detail ok = results := { name; detail; ok } :: !results in
   List.iter
@@ -119,35 +113,13 @@ let run ?(update = false) ?dir () =
                   | Verify.Engine.Limit_cycle _ -> ());
                   (* the counterexample becomes a permanent conformance
                      input: golden stimulus file + replay from the file *)
-                  let file =
-                    Filename.concat dir
-                      (Printf.sprintf "verify_%s_%s.stim" wname pname)
-                  in
                   let text = Verify.Stim.to_string ~property:prop ce in
-                  (if update then begin
-                     let existed = Sys.file_exists file in
-                     write_file file text;
-                     push (rname ^ "/stimulus")
-                       (Printf.sprintf "%s %s"
-                          (if existed then "updated" else "created")
-                          file)
-                       true
-                   end
-                   else
-                     match read_file file with
-                     | None ->
-                         push (rname ^ "/stimulus")
-                           (Printf.sprintf
-                              "golden stimulus %s missing (run with \
-                               --update-golden)"
-                              file)
-                           false
-                     | Some old when old = text ->
-                         push (rname ^ "/stimulus")
-                           (Printf.sprintf "matches %s" file) true
-                     | Some _ ->
-                         push (rname ^ "/stimulus")
-                           (Printf.sprintf "differs from %s" file) false);
+                  let detail, ok =
+                    stimulus_golden ~update ~dir
+                      (Printf.sprintf "verify_%s_%s.stim" wname pname)
+                      text
+                  in
+                  push (rname ^ "/stimulus") detail ok;
                   (match Verify.Stim.of_string text with
                   | Error e ->
                       push (rname ^ "/replay")

@@ -379,3 +379,10 @@ let all =
   ]
 
 let find name = List.find_opt (fun w -> String.equal w.name name) all
+
+let flowgraph w =
+  let b = w.build () in
+  match (b.extract_graph, b.graph) with
+  | Some extract, _ -> extract ()
+  | None, Some g -> g
+  | None, None -> failwith ("no flowgraph for workload " ^ w.name)

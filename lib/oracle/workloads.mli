@@ -48,3 +48,8 @@ type t = { name : string; build : unit -> built }
 val all : t list
 
 val find : string -> t option
+
+(** A fresh build's flowgraph: the extracted graph when the workload
+    has an extractor, else its analytic twin.  Raises [Failure] when it
+    has neither. *)
+val flowgraph : t -> Sfg.Graph.t

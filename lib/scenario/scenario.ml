@@ -15,7 +15,15 @@ type 'block t = {
   extract : ?outputs:string list -> unit -> Sfg.Graph.t;
 }
 
-let names = [ "fir"; "lms"; "timing"; "sync" ]
+let names =
+  [ "fir"; "lms"; "timing"; "sync"; "cordic-12"; "ddc-frontend"; "fft-16" ]
+
+(* A seeded stimulus generator that every rewind replays from its
+   current seed ([reseed] sets the seed the next rewind uses). *)
+type seeded = { rng : Stats.Rng.t; seed : int ref }
+
+let seeded seed = { rng = Stats.Rng.create ~seed; seed = ref seed }
+let rewind_seeded s = Stats.Rng.reseed s.rng ~seed:!(s.seed)
 
 (* A generated channel stimulus.  [gen rng] returns the sample function,
    the transmitted symbols and the run length; the stream regenerates
@@ -119,10 +127,10 @@ let fir ?(n = 512) ?(source = Uniform) ?(typed_input = false) () =
   let sample, rewind, reseed, sent =
     match source with
     | Uniform ->
-        let rng = Stats.Rng.create ~seed:12 and seed = ref 12 in
-        ( (fun () -> Stats.Rng.uniform_sym rng 1.0),
-          (fun () -> Stats.Rng.reseed rng ~seed:!seed),
-          (fun s -> seed := s),
+        let src = seeded 12 in
+        ( (fun () -> Stats.Rng.uniform_sym src.rng 1.0),
+          (fun () -> rewind_seeded src),
+          (fun s -> src.seed := s),
           fun () -> [||] )
     | Channel ->
         let s =
@@ -148,6 +156,17 @@ let fir ?(n = 512) ?(source = Uniform) ?(typed_input = false) () =
   in
   make ~env ~block:f ~probe:"out" ~cycles:n ~step ~rewind ~reseed ~sent
     ~output:(Sim.Channel.create "out") ~input_range:1.2
+
+(* A feed-forward design on a seeded source: one [step] per cycle, no
+   output channel, no transmitted symbols unless [sent] says otherwise. *)
+let feed_forward ~env ~block ~probe ~cycles ~step ~src ?(rewind = ignore)
+    ?(sent = fun () -> [||]) () =
+  make ~env ~block ~probe ~cycles ~step
+    ~rewind:(fun () ->
+      rewind_seeded src;
+      rewind ())
+    ~reseed:(fun s -> src.seed := s)
+    ~sent ~output:(Sim.Channel.create probe) ~input_range:1.0
 
 (* --- the LMS equalizer (Fig. 1, Tables 1-2) ------------------------------ *)
 
@@ -261,3 +280,105 @@ let overrule_nco_phase sc config =
     Refine.Flow.auto_error_lsb;
     error_overrides = [ ("nco_eta", h) ];
   }
+
+(* --- the 12-stage CORDIC rotator ----------------------------------------- *)
+
+let cordic ?(n = 2000) ?(seed = 4) () =
+  let env = Sim.Env.create ~seed:31 () in
+  let src = seeded seed in
+  let rotator = Dsp.Cordic.create env ~iters:12 () in
+  (* unit-circle vectors and |z| <= 1.5, quantized as if from a 12-bit
+     front end *)
+  let dtype = Fixpt.Dtype.make "T_in" ~n:12 ~f:10 () in
+  let xin = Sim.Signal.create env ~dtype "xin" in
+  let yin = Sim.Signal.create env ~dtype "yin" in
+  let zin = Sim.Signal.create env ~dtype "zin" in
+  Sim.Signal.range xin (-1.0) 1.0;
+  Sim.Signal.range yin (-1.0) 1.0;
+  Sim.Signal.range zin (-1.6) 1.6;
+  let step () =
+    let open Sim.Ops in
+    let phi = Stats.Rng.uniform src.rng ~lo:0.0 ~hi:(2.0 *. Float.pi) in
+    let z = Stats.Rng.uniform src.rng ~lo:(-1.5) ~hi:1.5 in
+    xin <-- Sim.Value.of_float (cos phi);
+    yin <-- Sim.Value.of_float (sin phi);
+    zin <-- Sim.Value.of_float z;
+    ignore (Dsp.Cordic.rotate rotator ~x:!!xin ~y:!!yin ~z:!!zin)
+  in
+  feed_forward ~env ~block:rotator ~probe:"cor_x[12]" ~cycles:n ~step ~src ()
+
+(* --- the DDC front end --------------------------------------------------- *)
+
+let ddc ?(n = 4096) () =
+  let fcw = 0.15625 (* 5/32 cycles/sample *) and rate = 4 and order = 2 in
+  let env = Sim.Env.create ~seed:7 () in
+  let src = seeded 31 in
+  let dtype = Fixpt.Dtype.make "T_if" ~n:10 ~f:8 () in
+  let x = Sim.Signal.create env ~dtype "x" in
+  Sim.Signal.range x (-1.0) 1.0;
+  let ddc = Dsp.Ddc.create env ~fcw ~rate ~order () in
+  (* knowledge-based bound on the modulo-1 NCO phase *)
+  Sim.Signal.range (Dsp.Ddc.phase ddc) 0.0 1.0;
+  (* CIC integrators are the one place where no statistical rule gives
+     the right answer: their true values ramp without bound, and the
+     correct designer type is wrap-around at the Hogenauer width
+     (N·log2 R + B_in bits) — modular arithmetic makes the decimated
+     comb output exact anyway.  Pre-type them (the "partial type
+     definition" includes architecture knowledge, not just inputs). *)
+  let cic =
+    Fixpt.Dtype.make "T_cic"
+      ~n:((order * 2 (* log2 rate *)) + 10)
+      ~f:8 ~overflow:Fixpt.Overflow_mode.Wrap ~round:Fixpt.Round_mode.Floor ()
+  in
+  List.iter
+    (fun s ->
+      let name = Sim.Signal.name s in
+      if
+        String.starts_with ~prefix:"ddc_ci_" name
+        || String.starts_with ~prefix:"ddc_cq_" name
+      then Sim.Signal.set_dtype s cic)
+    (Sim.Env.signals env);
+  (* a 0.7 tone at the carrier plus uniform noise *)
+  let t = ref 0 in
+  let step () =
+    let open Sim.Ops in
+    let tone = 0.7 *. cos (2.0 *. Float.pi *. fcw *. Float.of_int !t) in
+    incr t;
+    let noise = 0.05 *. Stats.Rng.uniform src.rng ~lo:(-1.0) ~hi:1.0 in
+    x <-- Sim.Value.of_float (tone +. noise);
+    ignore (Dsp.Ddc.step ddc !!x)
+  in
+  feed_forward ~env ~block:ddc ~probe:"ddc_i" ~cycles:n ~step ~src
+    ~rewind:(fun () -> t := 0)
+    ()
+
+(* --- the 16-point FFT ---------------------------------------------------- *)
+
+let fft ?(transforms = 200) ~scale () =
+  let n = 16 in
+  let env = Sim.Env.create ~seed:17 () in
+  let src = seeded 23 in
+  let dtype = Fixpt.Dtype.make "T_in" ~n:10 ~f:8 () in
+  let xr = Sim.Sig_array.create env ~dtype "xr" n in
+  Sim.Sig_array.range xr (-1.0) 1.0;
+  let fft = Dsp.Fft.create env ~scale ~n () in
+  (* uniform amplitudes (not ±1): exactly-representable inputs would
+     enter the transform noiselessly and defeat the LSB analysis *)
+  let sample rng = Stats.Rng.uniform rng ~lo:(-1.0) ~hi:1.0 in
+  let step () =
+    let open Sim.Ops in
+    let input =
+      Array.init n (fun i ->
+          let s = Sim.Sig_array.get xr i in
+          s <-- Sim.Value.of_float (sample src.rng);
+          (!!s, cst 0.0))
+    in
+    ignore (Dsp.Fft.transform fft input)
+  in
+  feed_forward ~env ~block:fft
+    ~probe:(Printf.sprintf "fft_re%d[0]" (Dsp.Fft.stage_count fft))
+    ~cycles:transforms ~step ~src
+    ~sent:(fun () ->
+      let rng = Stats.Rng.create ~seed:!(src.seed) in
+      Array.init (transforms * n) (fun _ -> sample rng))
+    ()

@@ -4,11 +4,13 @@
     and its knowledge-based [range()]/[error()] annotations once; the
     MSB/LSB passes, re-simulation and the SQNR check all reuse that one
     description.  This module is that description for the 5-tap FIR,
-    the LMS equalizer, the Gardner timing-recovery loop and the closed
-    synchronizer: environment seed, stimulus, input type, knowledge
+    the LMS equalizer, the Gardner timing-recovery loop, the closed
+    synchronizer, the 12-stage CORDIC rotator, the DDC front end and
+    the 16-point FFT: environment seed, stimulus, input type, knowledge
     ranges, probe and extract closure.  The conformance workloads, the
     sweep workloads, the [check] gates, the bench guard, the CLI
-    subcommands and the bench harness all build from here.
+    subcommands, the bench harness and the examples all build from
+    here.
 
     A builder's parameters are only the values its callers set
     differently (run length, stimulus seed, detector, output recording,
@@ -28,17 +30,21 @@ type 'block t = {
       (** stimulus generator seed the next [design.reset] rewinds to
           (a channel stimulus regenerates only when the seed changed) *)
   sent : unit -> float array;
-      (** the transmitted symbols of the current stimulus ([[||]] for
-          the FIR's uniform source) *)
+      (** the transmitted symbols of the current stimulus (the FFT's
+          input samples; [[||]] for the FIR's uniform source, the CORDIC
+          and the DDC) *)
   output : Sim.Channel.t;
-      (** the block's output channel (never written by the FIR) *)
+      (** the block's output channel (never written by the feed-forward
+          designs: the FIR, the CORDIC, the DDC and the FFT) *)
   input_range : float;  (** the input's knowledge range is [±input_range] *)
   extract : ?outputs:string list -> unit -> Sfg.Graph.t;
       (** {!Sim.Extract.graph} of one [step]; advances the design by one
           cycle *)
 }
 
-(** ["fir"; "lms"; "timing"; "sync"]. *)
+(** ["fir"; "lms"; "timing"; "sync"; "cordic-12"; "ddc-frontend";
+    "fft-16"] — distinct from the conformance workloads' [cordic] and
+    [ddc] ([Oracle.Workloads]), which are other configurations. *)
 val names : string list
 
 (** {1 The 5-tap FIR} *)
@@ -127,3 +133,29 @@ val sync :
     the matching [error_overrides]. *)
 val overrule_nco_phase :
   Dsp.Synchronizer.t t -> Refine.Flow.config -> Refine.Flow.config
+
+(** {1 The 12-stage CORDIC rotator} *)
+
+(** Rotation mode over [n] cycles (default 2000): [xin]/[yin]/[zin]
+    typed [T_in<12,10>] with ranges ±1, ±1, ±1.6, driven by unit-circle
+    vectors at φ uniform in [[0, 2π)] and z uniform in ±1.5 (stimulus
+    [seed] default 4); probe [cor_x[12]]. *)
+val cordic : ?n:int -> ?seed:int -> unit -> Dsp.Cordic.t t
+
+(** {1 The DDC front end} *)
+
+(** The CORDIC-mixer, order-2, R = 4 down-converter at fcw 5/32 over
+    [n] input samples (default 4096): input [x] typed [T_if<10,8>],
+    range ±1, a 0.7 carrier tone plus 0.05 uniform noise; NCO phase
+    range [[0, 1]]; the [ddc_ci_*]/[ddc_cq_*] CIC registers pre-typed
+    wrap/floor at the Hogenauer width (14 bits, 8 fractional); probe
+    [ddc_i]. *)
+val ddc : ?n:int -> unit -> Dsp.Ddc.t t
+
+(** {1 The 16-point FFT} *)
+
+(** [transforms] (default 200) radix-2 transforms, [scale] selecting
+    ½-per-stage butterflies: real input [xr] typed [T_in<10,8>], range
+    ±1, uniform ±1 samples ([sent] returns them, [xr] row-major); probe
+    [fft_re4[0]]. *)
+val fft : ?transforms:int -> scale:bool -> unit -> Dsp.Fft.t t

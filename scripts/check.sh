@@ -9,8 +9,8 @@
 #      wall-clock bench guards included (deliberately NOT part of
 #      `dune runtest`);
 #   5. duplication guards: the atomic durable write (fsync + rename)
-#      lives only in lib/durable/, the looped example designs are
-#      built only by the scenario registry (lib/scenario/), the CLI
+#      lives only in lib/durable/, the example designs are built
+#      only by the scenario registry (lib/scenario/), the CLI
 #      and the daemon resolve sweep jobs only through Sweep.Job, and
 #      the bench baseline files are named, written and read only by
 #      lib/oracle/bench_guard.ml, so none grows a second copy again;
@@ -67,12 +67,13 @@ if grep -rnE 'Unix\.fsync|Sys\.rename' lib bin --include='*.ml' --include='*.mli
   echo "check.sh: Unix.fsync/Sys.rename outside lib/durable/ (write through Durable.write)" >&2
   exit 1
 fi
-# One declaration per design: the looped examples are built only by the
-# scenario registry (tests stay exempt).
-if grep -rnE 'Dsp\.(Synchronizer|Lms_equalizer|Timing_recovery)\.create' lib bin bench \
-  --include='*.ml' --include='*.mli' \
-  | grep -vE '^lib/(dsp|scenario)/'; then
-  echo "check.sh: a looped design built outside lib/scenario/ (build it through Scenario)" >&2
+# One declaration per design: the example designs are built only by the
+# scenario registry (tests and the conformance fixtures in
+# lib/oracle/workloads.ml stay exempt).
+if grep -rnE 'Dsp\.(Cordic|Ddc|Fft|Synchronizer|Lms_equalizer|Timing_recovery)\.create' \
+  lib bin bench examples --include='*.ml' --include='*.mli' \
+  | grep -vE '^lib/(dsp|scenario)/|^lib/oracle/workloads\.ml:'; then
+  echo "check.sh: a design built outside lib/scenario/ (build it through Scenario)" >&2
   exit 1
 fi
 # One sweep job: strategy dispatch and the wave-journal key live in

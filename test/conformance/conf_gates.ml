@@ -32,6 +32,13 @@ let test_chaos_before_domains () =
 let guards = Oracle.Bench_guard.[ sim; compiled; verify; sync ]
 
 let test_bench_rows_resolve () =
+  (* a row's design name resolves to exactly one design *)
+  let designs = Scenario.names @ List.map fst Verify.Designs.all in
+  List.iter
+    (fun d ->
+      if List.length (List.filter (String.equal d) designs) > 1 then
+        Alcotest.failf "design name %s is declared twice" d)
+    designs;
   List.iter
     (fun (guard : Oracle.Bench_guard.guard) ->
       ignore (index guard.Oracle.Bench_guard.gate);

@@ -41,4 +41,5 @@ let () =
       Test_durable.suite;
       Test_serve.suite;
       Test_synchronizer.suite;
+      Test_scenario.suite;
     ]
