@@ -23,6 +23,35 @@ let name_is_safe n =
 
 let remove path = try Sys.remove path with Sys_error _ -> ()
 
+let rec remove_tree path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter
+        (fun name -> remove_tree (Filename.concat path name))
+        (try Sys.readdir path with Sys_error _ -> [||]);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
+(* A name that exists already (a stale directory of a recycled pid) is
+   skipped, never reused: the caller is promised an empty directory. *)
+let temp_counter = Atomic.make 0
+
+let with_temp_dir ~prefix f =
+  let rec fresh () =
+    let d =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ())
+           (Atomic.fetch_and_add temp_counter 1))
+    in
+    match Unix.mkdir d 0o700 with
+    | () -> d
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> fresh ()
+  in
+  let dir = fresh () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->

@@ -36,6 +36,17 @@ val fsync_dir : string -> unit
 (** Best-effort [Sys.remove] (a missing file is not an error). *)
 val remove : string -> unit
 
+(** Best-effort recursive removal of a file or a directory tree
+    (symlinks are removed, never followed). *)
+val remove_tree : string -> unit
+
+(** [with_temp_dir ~prefix f] — [f dir] on a fresh, empty directory
+    [<temp dir>/<prefix>-<pid>-<n>], removed with everything in it
+    when [f] returns or raises.  The removal runs in the calling
+    process only: a forked child that leaves through [Unix._exit]
+    leaves the directory to its parent. *)
+val with_temp_dir : prefix:string -> (string -> 'a) -> 'a
+
 (** Create a directory and its missing parents. *)
 val mkdir_p : string -> unit
 

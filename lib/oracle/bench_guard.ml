@@ -2,21 +2,6 @@
    committed baseline files, one guard per file — and the one writer and
    reader of those files. *)
 
-type entry = {
-  bench : string;
-  baseline : float;
-  measured : float;
-  ratio : float;
-}
-
-type report = {
-  title : string;
-  unit : string;
-  entries : entry list;
-  note : string option;
-  error : string option;
-}
-
 type row = {
   name : string;
   scenario : string;
@@ -289,22 +274,24 @@ let record g =
       output_string oc (write g figures));
   Format.printf "wrote %s@." g.file
 
-let report g ?note ?error entries =
-  { title = g.title; unit = g.unit; entries; note; error }
-
-let skipped g note = report g ~note []
-
 let score g baselines measured =
-  report g
-    (List.map
-       (fun (bench, measured) ->
-         let baseline = List.assoc bench baselines in
-         { bench; baseline; measured; ratio = measured /. baseline })
-       measured)
+  List.map
+    (fun (name, measured) ->
+      let baseline = List.assoc name baselines in
+      let ratio = measured /. baseline in
+      {
+        Check.name;
+        ok = ratio >= threshold;
+        detail =
+          Printf.sprintf "%.0f %s vs baseline %.0f (%.2fx, fails below %.2fx)"
+            measured g.unit baseline ratio threshold;
+      })
+    measured
 
 let run g =
+  let file_check ok detail = [ { Check.name = g.file; ok; detail } ] in
   if not (Sys.file_exists g.file) then
-    skipped g (Printf.sprintf "baseline %s not found: skipped" g.file)
+    file_check true "baseline not found: skipped"
   else
     match
       Result.bind
@@ -312,25 +299,9 @@ let run g =
          with Sys_error e -> Error e)
         (read g)
     with
-    | Error error -> report g ~error []
+    | Error e -> file_check false ("broken baseline: " ^ e)
     | Ok baselines ->
         score g baselines
           (List.map
              (fun (name, _, rate) -> (name, rate))
              (measure_rows ~budget_seconds:0.5 g))
-
-let passed r =
-  r.error = None && List.for_all (fun e -> e.ratio >= threshold) r.entries
-
-let pp_report ppf r =
-  (match (r.error, r.note) with
-  | Some e, _ -> Format.fprintf ppf "%s: FAILED, broken baseline: %s" r.title e
-  | None, Some n -> Format.fprintf ppf "%s: %s" r.title n
-  | None, None ->
-      Format.fprintf ppf "%s (fail below %.2fx baseline):" r.title threshold);
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@.  %-18s %9.0f %s vs baseline %9.0f (%.2fx)%s"
-        e.bench e.measured r.unit e.baseline e.ratio
-        (if e.ratio >= threshold then "" else "  REGRESSION"))
-    r.entries

@@ -23,23 +23,6 @@
     independently timed measurements, since load noise only ever slows
     a run down — a single preempted sample must not fail the gate. *)
 
-type entry = {
-  bench : string;
-  baseline : float;  (** the baseline file's figure *)
-  measured : float;
-  ratio : float;  (** measured / baseline *)
-}
-
-type report = {
-  title : string;  (** e.g. ["compiled bench guard"] *)
-  unit : string;  (** the guard's unit, printed on every row *)
-  entries : entry list;
-  note : string option;  (** set when the guard was skipped *)
-  error : string option;
-      (** set when the baseline file exists but does not {!read}: the
-          guard fails without measuring *)
-}
-
 (** One measured row.  [prepare ()] builds the row's design once and
     returns one timed measurement: one warm-up run, then whole-run
     repetitions for [budget] seconds of CPU time, as
@@ -100,18 +83,15 @@ val read : guard -> string -> ((string * float) list, string) result
 val record : guard -> unit
 
 (** Read the guard's baseline file, then measure every row (budget 0.5 s
-    per measurement) and compare.  A missing file yields an empty,
-    passing report with [note] set; a file that does not {!read} yields
-    a failing report with [error] set, before any measurement. *)
-val run : guard -> report
+    per measurement) and {!score} it.  A missing file yields one passing
+    check, named after the file, that says the guard was skipped; a
+    file that does not {!read} yields one failing check carrying the
+    error, before any measurement. *)
+val run : guard -> Check.t list
 
-(** The report of measured [(row, units/sec)] figures against
-    [(row, baseline)] pairs (every measured row must have a
-    baseline). *)
-val score : guard -> (string * float) list -> (string * float) list -> report
-
-(** An empty, passing report with [note] set. *)
-val skipped : guard -> string -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+(** One check per measured [(row, units/sec)] figure against its
+    [(row, baseline)] pair (every measured row must have a baseline):
+    named after the row, printing both figures in the guard's unit, and
+    failing below 0.8× the baseline. *)
+val score :
+  guard -> (string * float) list -> (string * float) list -> Check.t list

@@ -55,78 +55,7 @@ let rand_below st bound =
   Int64.to_int
     (Int64.rem (Int64.shift_right_logical (splitmix st) 1) (Int64.of_int bound))
 
-(* --- report types --------------------------------------------------------- *)
-
-type sweep_leg = {
-  child_jobs : int;  (** parallelism of the killed run *)
-  resume_jobs : int;  (** parallelism of the resuming run *)
-  kill_after : int;  (** 1-based evaluation index the kill fired at *)
-  killed : bool;  (** the child really died of [SIGKILL] *)
-  waves_journaled : int;  (** wave files surviving the kill *)
-  replayed_waves : int;  (** waves the resume skipped *)
-  replayed_candidates : int;
-  torn_entries : int;  (** corrupt cache entries after the kill — must be 0 *)
-  identical : bool;  (** resumed report byte-equal to the uninterrupted one *)
-}
-
-type daemon_leg = {
-  intent_seen : bool;  (** a write-ahead intent appeared before the kill *)
-  killed : bool;
-  pending_before_restart : int;  (** intents the dead daemon left behind *)
-  pending_after : int;  (** intents still pending once recovery settled *)
-  quarantined : int;
-  recovered_identical : bool;  (** post-recovery resubmit byte-equal *)
-  drain_exit_ok : bool;  (** SIGTERM drain exited with status 0 *)
-  socket_removed : bool;
-}
-
-type scrub_leg = {
-  entries : int;
-  corrupted : int;
-  detected : int;  (** corrupt entries {!Serve.Cache.scrub} healed *)
-  undetected : int;  (** corrupted keys a lookup still answered *)
-  intact : bool;  (** every undamaged entry still reads back verbatim *)
-}
-
-type wave_leg = {
-  journaled : int;  (** waves the undisturbed checkpointed run journaled *)
-  damaged_waves : int;  (** wave files truncated or byte-flipped *)
-  replayed : int;  (** waves the resume replayed — must be the undamaged ones *)
-  resumed_identical : bool;  (** resumed report byte-equal to the reference *)
-}
-
-type intent_leg = {
-  recorded : int;  (** intents written *)
-  damaged_intents : int;  (** intent files truncated or byte-flipped *)
-  quarantined_damaged : int;  (** damaged intents found quarantined *)
-  intact_pending : bool;  (** pending = exactly the undamaged intents, verbatim *)
-}
-
-type result = {
-  sweeps : sweep_leg list;
-  daemon : daemon_leg;
-  scrub : scrub_leg;
-  waves : wave_leg;
-  intents : intent_leg;
-}
-
-type report = { jobs : int; seed : int; result : result }
-
-(* --- scratch, pids, process plumbing -------------------------------------- *)
-
-let scratch_counter = ref 0
-
-(* The [fxchaos-] prefix is load-bearing: check.sh's exit trap sweeps
-   [$TMPDIR/fxchaos-*] (and kills pids listed inside) if the gate dies. *)
-let scratch_dir () =
-  incr scratch_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fxchaos-%d-%d" (Unix.getpid ()) !scratch_counter)
-  in
-  (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+(* --- pids, process plumbing ------------------------------------------------ *)
 
 let note_pid ~scratch pid =
   let oc =
@@ -137,16 +66,6 @@ let note_pid ~scratch pid =
   in
   output_string oc (string_of_int pid ^ "\n");
   close_out oc
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter
-        (fun name -> rm_rf (Filename.concat path name))
-        (try Sys.readdir path with Sys_error _ -> [||]);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
 
 let rec wait_pid pid =
   match Unix.waitpid [] pid with
@@ -389,16 +308,38 @@ let daemon_leg ~scratch st =
   Unix.kill pid2 Sys.sigterm;
   let drain_exit_ok = wait_pid pid2 = Unix.WEXITED 0 in
   let socket_removed = not (Sys.file_exists socket) in
-  {
-    intent_seen;
-    killed;
-    pending_before_restart;
-    pending_after;
-    quarantined;
-    recovered_identical;
-    drain_exit_ok;
-    socket_removed;
-  }
+  [
+    {
+      Check.name = "daemon/intent-journaled";
+      ok = intent_seen && killed && pending_before_restart >= 1;
+      detail =
+        Printf.sprintf
+          "intent on disk before the kill: %b, SIGKILLed: %b, %d intent(s) \
+           left pending"
+          intent_seen killed pending_before_restart;
+    };
+    {
+      Check.name = "daemon/recovery-settled";
+      ok = pending_after = 0 && quarantined = 0;
+      detail =
+        Printf.sprintf "%d pending, %d quarantined after restart" pending_after
+          quarantined;
+    };
+    {
+      Check.name = "daemon/recovered-identical";
+      ok = recovered_identical;
+      detail =
+        (if recovered_identical then "resubmitted report byte-identical"
+         else "resubmitted report differs or never arrived");
+    };
+    {
+      Check.name = "daemon/sigterm-drain";
+      ok = drain_exit_ok && socket_removed;
+      detail =
+        Printf.sprintf "exited with status 0: %b, socket removed: %b"
+          drain_exit_ok socket_removed;
+    };
+  ]
 
 (* --- seeded corruption (legs 3-5) ------------------------------------------ *)
 
@@ -499,12 +440,16 @@ let scrub_leg ~scratch st =
         | None -> false)
       (List.init scrub_entries Fun.id)
   in
+  let detected = s.Serve.Cache.healed in
   {
-    entries = scrub_entries;
-    corrupted = scrub_corrupted;
-    detected = s.Serve.Cache.healed;
-    undetected;
-    intact;
+    Check.name = "cache-scrub";
+    ok = detected = scrub_corrupted && undetected = 0 && intact;
+    detail =
+      Printf.sprintf
+        "%d/%d corrupted entries of %d detected, %d served corrupt, clean \
+         entries %s"
+        detected scrub_corrupted scrub_entries undetected
+        (if intact then "intact" else "damaged");
   }
 
 (* --- leg 4: seeded wave corruption + resume --------------------------------- *)
@@ -520,13 +465,17 @@ let wave_leg ~scratch ~reference ~jobs st =
   let victims = seeded_subset st ~k:(min n 3) n in
   damage_all st (List.map (fun i -> snd (List.nth files i)) victims);
   (* drop the cache, so a damaged wave is really re-evaluated *)
-  rm_rf (Filename.concat dir "cache");
+  Durable.remove_tree (Filename.concat dir "cache");
   let json, _, (replayed, _) = leg_sweep ~fresh:false ~dir ~jobs () in
+  let damaged = List.length victims in
+  let identical = String.equal json reference in
   {
-    journaled = n;
-    damaged_waves = List.length victims;
-    replayed;
-    resumed_identical = String.equal json reference;
+    Check.name = "wave-corruption";
+    ok = damaged >= 1 && replayed = n - damaged && identical;
+    detail =
+      Printf.sprintf "%d/%d waves damaged, %d replayed, resumed report %s"
+        damaged n replayed
+        (if identical then "byte-identical" else "different");
   }
 
 (* --- leg 5: seeded intent corruption + recovery scan ----------------------- *)
@@ -562,23 +511,32 @@ let intent_leg ~scratch st =
   (* the daemon's recovery pass re-runs exactly [pending] *)
   let pending = Serve.Journal.pending j in
   let quarantined = Serve.Journal.quarantined j in
+  let quarantined_damaged =
+    List.length
+      (List.filter
+         (fun (e : Serve.Journal.entry) -> List.mem e.name quarantined)
+         damaged)
+  in
+  let n_damaged = List.length damaged in
   {
-    recorded = intent_count;
-    damaged_intents = List.length damaged;
-    quarantined_damaged =
-      List.length
-        (List.filter
-           (fun (e : Serve.Journal.entry) -> List.mem e.name quarantined)
-           damaged);
-    intact_pending = pending = intact;
+    Check.name = "intent-corruption";
+    ok =
+      n_damaged >= 1 && quarantined_damaged = n_damaged && pending = intact;
+    detail =
+      Printf.sprintf
+        "%d/%d intents damaged, %d quarantined, undamaged pending %s"
+        n_damaged intent_count quarantined_damaged
+        (if pending = intact then "verbatim" else "wrong");
   }
 
 (* --- the gate -------------------------------------------------------------- *)
 
 let run ~jobs ~seed =
   let st = ref (Int64.of_int ((seed * 2_147_483_629) + 0x5EED1)) in
-  let scratch = scratch_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf scratch) @@ fun () ->
+  (* The [fxchaos] prefix is load-bearing: check.sh's exit trap sweeps
+     [$TMPDIR/fxchaos-*] (and kills pids listed inside) if the gate
+     dies. *)
+  Durable.with_temp_dir ~prefix:"fxchaos" @@ fun scratch ->
   (* uninterrupted reference: jobs=1, no checkpoint, no cache — and no
      domains spawned, so every fork below happens from a process that
      has never been multi-threaded *)
@@ -612,107 +570,33 @@ let run ~jobs ~seed =
       (fun (child_jobs, resume_jobs, dir, kill_after, killed) ->
         (* the killed run's cache must hold only whole entries: count
            load-time rejects plus a full scrub over the survivors *)
-        let torn_entries =
+        let torn =
           let c = Serve.Cache.create ~dir:(Filename.concat dir "cache") () in
           let loaded = (Serve.Cache.stats c).Serve.Cache.corrupt in
           loaded + (Serve.Cache.scrub c).Serve.Cache.healed
         in
-        let json, waves_journaled, (replayed_waves, replayed_candidates) =
+        let json, journaled, (replayed, _) =
           leg_sweep ~fresh:false ~dir ~jobs:resume_jobs ()
         in
+        let identical = String.equal json reference in
         {
-          child_jobs;
-          resume_jobs;
-          kill_after;
-          killed;
-          waves_journaled;
-          replayed_waves;
-          replayed_candidates;
-          torn_entries;
-          identical = String.equal json reference;
+          Check.name =
+            Printf.sprintf "sweep-kill/jobs-%d-to-%d" child_jobs resume_jobs;
+          ok =
+            killed && journaled >= 1 && replayed >= 1 && torn = 0 && identical;
+          detail =
+            Printf.sprintf
+              "killed at eval %d%s: %d wave(s) journaled, %d replayed, %d \
+               torn cache entr%s, resumed report %s"
+              kill_after
+              (if killed then "" else " (no SIGKILL seen)")
+              journaled replayed torn
+              (if torn = 1 then "y" else "ies")
+              (if identical then "byte-identical" else "different");
         })
       killed_legs
   in
   let scrub = scrub_leg ~scratch st in
   let waves = wave_leg ~scratch ~reference ~jobs st in
   let intents = intent_leg ~scratch st in
-  { jobs; seed; result = { sweeps; daemon; scrub; waves; intents } }
-
-let sweep_leg_passed (l : sweep_leg) =
-  l.killed && l.waves_journaled >= 1 && l.replayed_waves >= 1
-  && l.torn_entries = 0 && l.identical
-
-let daemon_passed (d : daemon_leg) =
-  d.intent_seen && d.killed
-  && d.pending_before_restart >= 1
-  && d.pending_after = 0 && d.quarantined = 0 && d.recovered_identical
-  && d.drain_exit_ok && d.socket_removed
-
-let scrub_passed (s : scrub_leg) =
-  s.detected = s.corrupted && s.undetected = 0 && s.intact
-
-let wave_passed (w : wave_leg) =
-  w.damaged_waves >= 1
-  && w.replayed = w.journaled - w.damaged_waves
-  && w.resumed_identical
-
-let intent_passed (i : intent_leg) =
-  i.damaged_intents >= 1
-  && i.quarantined_damaged = i.damaged_intents
-  && i.intact_pending
-
-let passed t =
-  List.for_all sweep_leg_passed t.result.sweeps
-  && daemon_passed t.result.daemon
-  && scrub_passed t.result.scrub
-  && wave_passed t.result.waves
-  && intent_passed t.result.intents
-
-let pp_report ppf t =
-  let r = t.result in
-  let verdict b = if b then "ok" else "FAILED" in
-  Format.fprintf ppf "chaos gate (seed %d, jobs %d):@." t.seed t.jobs;
-  Format.fprintf ppf "  sweep SIGKILL + resume:@.";
-  List.iter
-    (fun l ->
-      Format.fprintf ppf
-        "    killed at eval %d (jobs %d) → resumed (jobs %d): %s (%d wave(s) \
-         journaled, %d replayed, %d torn cache entr%s)@."
-        l.kill_after l.child_jobs l.resume_jobs
-        (verdict (sweep_leg_passed l))
-        l.waves_journaled l.replayed_waves l.torn_entries
-        (if l.torn_entries = 1 then "y" else "ies"))
-    r.sweeps;
-  let d = r.daemon in
-  Format.fprintf ppf "  daemon SIGKILL + restart:@.";
-  Format.fprintf ppf "    intent journaled before kill: %s@."
-    (verdict (d.intent_seen && d.killed && d.pending_before_restart >= 1));
-  Format.fprintf ppf
-    "    recovery settled every job:    %s (%d pending, %d quarantined)@."
-    (verdict (d.pending_after = 0 && d.quarantined = 0))
-    d.pending_after d.quarantined;
-  Format.fprintf ppf "    recovered report byte-equal:   %s@."
-    (verdict d.recovered_identical);
-  Format.fprintf ppf "    SIGTERM drain + socket gone:   %s@."
-    (verdict (d.drain_exit_ok && d.socket_removed));
-  let s = r.scrub in
-  Format.fprintf ppf
-    "  cache scrub: %s (%d/%d corrupted entries detected, %d served \
-     corrupt, clean entries %s)@."
-    (verdict (scrub_passed s))
-    s.detected s.corrupted s.undetected
-    (if s.intact then "intact" else "DAMAGED");
-  let w = r.waves in
-  Format.fprintf ppf
-    "  wave corruption + resume: %s (%d/%d waves damaged, %d replayed, \
-     report %s)@."
-    (verdict (wave_passed w))
-    w.damaged_waves w.journaled w.replayed
-    (if w.resumed_identical then "byte-identical" else "DIFFERENT");
-  let i = r.intents in
-  Format.fprintf ppf
-    "  intent corruption: %s (%d/%d intents damaged, %d quarantined, \
-     undamaged pending %s)"
-    (verdict (intent_passed i))
-    i.damaged_intents i.recorded i.quarantined_damaged
-    (if i.intact_pending then "verbatim" else "WRONG")
+  sweeps @ daemon @ [ scrub; waves; intents ]

@@ -18,67 +18,13 @@
     [fxchaos-*] scratch directory so the caller's cleanup trap can
     reap orphans if the gate itself dies. *)
 
-type sweep_leg = {
-  child_jobs : int;  (** parallelism of the killed run *)
-  resume_jobs : int;  (** parallelism of the resuming run *)
-  kill_after : int;  (** 1-based evaluation index the kill fired at *)
-  killed : bool;  (** the child really died of [SIGKILL] *)
-  waves_journaled : int;  (** wave files surviving the kill *)
-  replayed_waves : int;  (** waves the resume skipped *)
-  replayed_candidates : int;
-  torn_entries : int;  (** corrupt cache entries after the kill — must be 0 *)
-  identical : bool;  (** resumed report byte-equal to the uninterrupted one *)
-}
-
-type daemon_leg = {
-  intent_seen : bool;  (** a write-ahead intent appeared before the kill *)
-  killed : bool;
-  pending_before_restart : int;  (** intents the dead daemon left behind *)
-  pending_after : int;  (** intents still pending once recovery settled *)
-  quarantined : int;
-  recovered_identical : bool;  (** post-recovery resubmit byte-equal *)
-  drain_exit_ok : bool;  (** SIGTERM drain exited with status 0 *)
-  socket_removed : bool;
-}
-
-type scrub_leg = {
-  entries : int;
-  corrupted : int;
-  detected : int;  (** corrupt entries {!Serve.Cache.scrub} healed *)
-  undetected : int;  (** corrupted keys a lookup still answered *)
-  intact : bool;  (** every undamaged entry still reads back verbatim *)
-}
-
-type wave_leg = {
-  journaled : int;  (** waves the undisturbed checkpointed run journaled *)
-  damaged_waves : int;  (** wave files truncated or byte-flipped *)
-  replayed : int;  (** waves the resume replayed — must be the undamaged ones *)
-  resumed_identical : bool;  (** resumed report byte-equal to the reference *)
-}
-
-type intent_leg = {
-  recorded : int;  (** intents written *)
-  damaged_intents : int;  (** intent files truncated or byte-flipped *)
-  quarantined_damaged : int;  (** damaged intents found quarantined *)
-  intact_pending : bool;  (** pending = exactly the undamaged intents, verbatim *)
-}
-
-type result = {
-  sweeps : sweep_leg list;
-  daemon : daemon_leg;
-  scrub : scrub_leg;
-  waves : wave_leg;
-  intents : intent_leg;
-}
-
-type report = { jobs : int; seed : int; result : result }
-
-(** Run the gate.  [jobs] (at least 2, see {!Gates.jobs}) is the
-    parallel leg's worker count; [seed] drives every kill point, delay
+(** Run the gate: one check per killed-and-resumed sweep (named after
+    the killed run's and the resumer's [jobs]), four for the daemon
+    (intent journaled before the kill, recovery settled every intent,
+    recovered report byte-identical, clean [SIGTERM] drain) and one per
+    corrupted store.  [jobs] (at least 2, see {!Gates.jobs}) is the
+    parallel legs' worker count; [seed] drives every kill point, delay
     and corruption offset.  Forks several children and runs two short
     daemon generations; wall-clock is a few seconds.  The caller must
     be effectively single-threaded (gate processes fork). *)
-val run : jobs:int -> seed:int -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val run : jobs:int -> seed:int -> Check.t list

@@ -7,9 +7,6 @@
     bit-identically anywhere, and the {e same} decisions reach both
     executors. *)
 
-type result = { name : string; detail : string; ok : bool }
-type report = { results : result list }
-
 let steps = 48
 let batches = [ 1; 4; 64 ]
 
@@ -136,7 +133,7 @@ let check_graph ~workload ~source g =
     with
     | 0 ->
         {
-          name;
+          Check.name;
           detail =
             Printf.sprintf
               "%d nodes bit-identical over B in {1,4,64} x %d steps" nodes
@@ -145,12 +142,12 @@ let check_graph ~workload ~source g =
         }
     | n ->
         {
-          name;
+          Check.name;
           detail = Printf.sprintf "%d mismatched node samples" n;
           ok = false;
         }
     | exception e ->
-        { name; detail = Printexc.to_string e; ok = false }
+        { Check.name; detail = Printexc.to_string e; ok = false }
   in
   [ mk ~faulted:false; mk ~faulted:true ]
 
@@ -176,7 +173,7 @@ let check_workload (w : Workloads.t) =
           | Error e ->
               [
                 {
-                  name =
+                  Check.name =
                     Printf.sprintf "compile/%s/%s" w.Workloads.name source;
                   detail = "extraction failed: " ^ Printexc.to_string e;
                   ok = false;
@@ -186,7 +183,7 @@ let check_workload (w : Workloads.t) =
   | exception e ->
       [
         {
-          name = Printf.sprintf "compile/%s" w.Workloads.name;
+          Check.name = Printf.sprintf "compile/%s" w.Workloads.name;
           detail = "build failed: " ^ Printexc.to_string e;
           ok = false;
         };
@@ -288,14 +285,14 @@ let check_sweep_metrics () =
   with
   | [] ->
       {
-        name;
+        Check.name;
         detail =
           "evaluate_compiled metrics bit-identical to evaluate over 3 \
            candidates";
         ok = true;
       }
-  | diffs -> { name; detail = String.concat "; " diffs; ok = false }
-  | exception e -> { name; detail = Printexc.to_string e; ok = false }
+  | diffs -> { Check.name; detail = String.concat "; " diffs; ok = false }
+  | exception e -> { Check.name; detail = Printexc.to_string e; ok = false }
 
 (* --- candidate lanes: one program, a different dtype set per lane ------- *)
 
@@ -436,13 +433,13 @@ let check_mixed_lanes () =
   (* [f ()] is [None] when the check passes, else the evidence *)
   let result name ~pass f =
     match f () with
-    | None -> { name; detail = pass; ok = true }
-    | Some d -> { name; detail = d; ok = false }
-    | exception e -> { name; detail = Printexc.to_string e; ok = false }
+    | None -> { Check.name; detail = pass; ok = true }
+    | Some d -> { Check.name; detail = d; ok = false }
+    | exception e -> { Check.name; detail = Printexc.to_string e; ok = false }
   in
   let name = "compile/sweep-fir/lanes" in
   match prepare_lanes w lanes with
-  | exception e -> [ { name; detail = Printexc.to_string e; ok = false } ]
+  | exception e -> [ { Check.name; detail = Printexc.to_string e; ok = false } ]
   | prep ->
       let traces ~faulted =
         result
@@ -474,24 +471,6 @@ let check_mixed_lanes () =
 (* --- the gate ----------------------------------------------------------- *)
 
 let run () =
-  {
-    results =
-      List.concat_map check_workload Workloads.all
-      @ [ check_sweep_metrics () ]
-      @ check_mixed_lanes ();
-  }
-
-let passed r = List.for_all (fun x -> x.ok) r.results
-
-let pp_report ppf r =
-  Format.fprintf ppf "compiled-executor gate:@,";
-  List.iter
-    (fun x ->
-      Format.fprintf ppf "  [%s] %-32s %s@,"
-        (if x.ok then "ok" else "FAIL")
-        x.name x.detail)
-    r.results;
-  let bad = List.filter (fun x -> not x.ok) r.results in
-  if bad = [] then
-    Format.fprintf ppf "  all %d checks passed@," (List.length r.results)
-  else Format.fprintf ppf "  %d checks FAILED@," (List.length bad)
+  List.concat_map check_workload Workloads.all
+  @ [ check_sweep_metrics () ]
+  @ check_mixed_lanes ()

@@ -20,14 +20,6 @@
 
     The [compiled] gate of {!Gates}. *)
 
-type result = {
-  name : string;
-  detail : string;  (** human-readable evidence line *)
-  ok : bool;
-}
-
-type report = { results : result list }
-
 (** Steps each equality run simulates (per lane). *)
 val steps : int
 
@@ -51,8 +43,7 @@ val mismatches :
   Sfg.Graph.t ->
   int
 
-(** Run the gate over every conformance workload. *)
-val run : unit -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+(** Run the gate over every conformance workload: one check per graph,
+    source and fault setting, one for the sweep metrics and three for
+    the candidate lanes. *)
+val run : unit -> Check.t list

@@ -142,16 +142,25 @@ let run ?seed ?(per_combo = 1000) () =
     mismatch_count = !count;
   }
 
-let passed r = r.mismatch_count = 0
-
-let pp_mismatch ppf m =
-  Format.fprintf ppf "%s  value=%s (%h): spec %s=%s, impl %s"
-    (Fixpt.Dtype.to_string m.case.dtype)
-    (hex m.case.value) m.case.value m.field m.spec m.impl
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "differential: %d cases (%d per mode combination, %d combinations), seed \
-     %d: %d mismatch(es)"
-    r.total_cases r.per_combo (List.length combos) r.seed r.mismatch_count;
-  List.iter (fun m -> Format.fprintf ppf "@.  %a" pp_mismatch m) r.mismatches
+(* One summary check, then one failing check per reported mismatch. *)
+let checks r =
+  {
+    Check.name = "quantize-vs-spec";
+    ok = r.mismatch_count = 0;
+    detail =
+      Printf.sprintf
+        "%d cases (%d per mode combination, %d combinations), seed %d: %d \
+         mismatch(es)"
+        r.total_cases r.per_combo (List.length combos) r.seed
+        r.mismatch_count;
+  }
+  :: List.map
+       (fun m ->
+         {
+           Check.name = Fixpt.Dtype.to_string m.case.dtype;
+           ok = false;
+           detail =
+             Printf.sprintf "value=%s (%h): spec %s=%s, impl %s"
+               (hex m.case.value) m.case.value m.field m.spec m.impl;
+         })
+       r.mismatches

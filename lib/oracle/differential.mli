@@ -38,6 +38,6 @@ val default_seed : unit -> int
     mode combination (default 1000). *)
 val run : ?seed:int -> ?per_combo:int -> unit -> report
 
-val passed : report -> bool
-val pp_mismatch : Format.formatter -> mismatch -> unit
-val pp_report : Format.formatter -> report -> unit
+(** The report as checks: the case count and seed, passing when no
+    field mismatched, then one failing check per reported mismatch. *)
+val checks : report -> Check.t list

@@ -20,14 +20,6 @@
     - {e collect-degrade}: the same design under [Force_collect]
       completes a full run and reports the collected fault records. *)
 
-type result = {
-  name : string;
-  detail : string;  (** human-readable evidence line *)
-  ok : bool;
-}
-
-type report = { results : result list }
-
 (* The canonical gate plan.  Rates are tuned against the 128-cycle FIR
    workload so that forced overflows crash {e some but not all}
    candidates under Force_raise — the gate needs both a non-empty
@@ -46,12 +38,12 @@ let check_roundtrip () =
   match Fault.Plan.of_json (Fault.Plan.to_json p) with
   | Ok p' ->
       {
-        name = "plan-roundtrip";
+        Check.name = "plan-roundtrip";
         detail = Printf.sprintf "%d bytes" (String.length (Fault.Plan.to_json p));
         ok = p' = p;
       }
   | Error e ->
-      { name = "plan-roundtrip"; detail = "parse error: " ^ e; ok = false }
+      { Check.name = "plan-roundtrip"; detail = "parse error: " ^ e; ok = false }
 
 let check_schedule () =
   let p = plan () in
@@ -59,7 +51,7 @@ let check_schedule () =
   let s1 = Fault.Plan.schedule p ~signals ~cycles:128 () in
   let s2 = Fault.Plan.schedule p ~signals ~cycles:128 () in
   {
-    name = "schedule-replay";
+    Check.name = "schedule-replay";
     detail = Printf.sprintf "%d events" (List.length s1);
     ok = s1 = s2 && s1 <> [];
   }
@@ -85,11 +77,11 @@ let check_sweep ~jobs =
     Sweep.Report.to_json sequential = Sweep.Report.to_json parallel
   in
   {
-    name = "faulted-sweep";
+    Check.name = "faulted-sweep";
     detail =
       Printf.sprintf "%d evaluated, %d quarantined, jobs 1 vs %d: %s"
         evaluated quarantined jobs
-        (if identical then "identical" else "DIVERGED");
+        (if identical then "identical" else "diverged");
     ok = identical && quarantined > 0 && evaluated > 0;
   }
 
@@ -102,28 +94,10 @@ let check_collect () =
   inst.Sweep.Workload.design.Refine.Flow.run ();
   let n = Sim.Env.collected_count env in
   {
-    name = "collect-degrade";
+    Check.name = "collect-degrade";
     detail = Printf.sprintf "%d faults collected, run completed" n;
     ok = n > 0;
   }
 
 let run ~jobs =
-  {
-    results =
-      [
-        check_roundtrip ();
-        check_schedule ();
-        check_sweep ~jobs;
-        check_collect ();
-      ];
-  }
-
-let passed t = List.for_all (fun r -> r.ok) t.results
-
-let pp_report ppf t =
-  Format.fprintf ppf "fault injection:@.";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-16s %-52s %s@." r.name r.detail
-        (if r.ok then "ok" else "FAIL"))
-    t.results
+  [ check_roundtrip (); check_schedule (); check_sweep ~jobs; check_collect () ]

@@ -6,21 +6,10 @@
     the [Collect] overflow policy degrades gracefully (run completes,
     faults recorded).  The [faults] gate of {!Gates}. *)
 
-type result = {
-  name : string;
-  detail : string;  (** human-readable evidence line *)
-  ok : bool;
-}
-
-type report = { results : result list }
-
 (** The canonical crash-mode gate plan (seed 42, bitflips + forced
     overflows under {!Fault.Plan.Force_raise}). *)
 val plan : unit -> Fault.Plan.t
 
 (** Run the gate; [jobs] (at least 2, see {!Gates.jobs}) is the
     parallel side of the quarantine comparison. *)
-val run : jobs:int -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val run : jobs:int -> Check.t list

@@ -1,5 +1,6 @@
 (** The gates of [fxrefine check], declared once: an ordered table of
-    [{name; run; passed; pp}] entries, every one run by every [check].
+    [{name; run}] entries, every one run by every [check].  A gate's
+    verdict is its {!Check.t} list.
 
     Order matters twice.  It is the order [check] prints its verdicts
     in, and the chaos gate runs right after the golden traces because
@@ -17,14 +18,9 @@ type ctx = {
   no_bench : bool;  (** skip the wall-clock bench guards *)
 }
 
-type t =
-  | Gate : {
-      name : string;
-      run : ctx -> 'r;
-      passed : 'r -> bool;
-      pp : Format.formatter -> 'r -> unit;
-    }
-      -> t
+(** [run] returns the gate's checks; the gate passes when
+    {!Check.passed} holds for them. *)
+type t = { name : string; run : ctx -> Check.t list }
 
 (** Resolve [check --jobs]: the given count, or the recommended domain
     count clamped to [\[2, 4\]]; never below 2, so the parallel code
@@ -36,6 +32,7 @@ val jobs : int option -> int
     bench-verify, serve, sync, bench-sync. *)
 val all : t list
 
-(** Run every gate of {!all} in order, printing each report; [true]
-    when all passed. *)
+(** Run every gate of {!all} in order, printing each gate's name
+    followed by its checks ({!Check.pp}); [true] when every gate
+    passed. *)
 val run_all : ctx -> bool

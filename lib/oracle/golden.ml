@@ -274,23 +274,18 @@ let check ?(update = false) ?dir () =
   in
   { dir; entries = entries @ vhdl_entries }
 
-let passed r =
-  List.for_all
+let checks r =
+  List.map
     (fun e ->
-      match e.outcome with
-      | Match | Created | Updated -> true
-      | Missing | Differ _ -> false)
-    r.entries
-
-let outcome_str = function
-  | Match -> "match"
-  | Created -> "created"
-  | Updated -> "updated"
-  | Missing -> "MISSING"
-  | Differ d -> "DIFFER: " ^ d
-
-let pp_result ppf r =
-  Format.fprintf ppf "golden traces in %s:" r.dir;
-  List.iter
-    (fun e -> Format.fprintf ppf "@.  %-16s %s" e.file (outcome_str e.outcome))
+      let path = Filename.concat r.dir e.file in
+      let ok, detail =
+        match e.outcome with
+        | Match -> (true, "matches " ^ path)
+        | Created -> (true, "created " ^ path)
+        | Updated -> (true, "updated " ^ path)
+        | Missing ->
+            (false, Printf.sprintf "%s missing (run with --update-golden)" path)
+        | Differ d -> (false, Printf.sprintf "differs from %s: %s" path d)
+      in
+      { Check.name = e.file; ok; detail })
     r.entries

@@ -48,5 +48,6 @@ val compare_one : update:bool -> dir:string -> string -> string -> entry
     workload traces, refinement reports and the VHDL cases. *)
 val check : ?update:bool -> ?dir:string -> unit -> result
 
-val passed : result -> bool
-val pp_result : Format.formatter -> result -> unit
+(** One check per golden file, named after it: [Match], [Created] and
+    [Updated] pass; [Missing] and [Differ] fail. *)
+val checks : result -> Check.t list

@@ -238,14 +238,21 @@ let run_workload (w : Workloads.t) =
 let run_all () =
   List.fold_left (fun acc w -> merge acc (run_workload w)) empty Workloads.all
 
-let passed r = r.failures = []
-
-let pp_failure ppf f =
-  Format.fprintf ppf "%s/%s (%s): %s" f.workload f.invariant f.subject f.detail
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "metamorphic: %d invariant checks over [%s]: %d failure(s)" r.checked
-    (String.concat "; " r.workloads)
-    (List.length r.failures);
-  List.iter (fun f -> Format.fprintf ppf "@.  %a" pp_failure f) r.failures
+(* One summary check, then one failing check per failure. *)
+let checks r =
+  {
+    Check.name = "invariants";
+    ok = r.checked > 0 && r.failures = [];
+    detail =
+      Printf.sprintf "%d invariant checks over [%s]: %d failure(s)" r.checked
+        (String.concat "; " r.workloads)
+        (List.length r.failures);
+  }
+  :: List.map
+       (fun f ->
+         {
+           Check.name = Printf.sprintf "%s/%s" f.workload f.invariant;
+           ok = false;
+           detail = Printf.sprintf "%s: %s" f.subject f.detail;
+         })
+       r.failures

@@ -45,6 +45,8 @@ val run_workload : Workloads.t -> report
 val run_all : unit -> report
 
 val merge : report -> report -> report
-val passed : report -> bool
-val pp_failure : Format.formatter -> failure -> unit
-val pp_report : Format.formatter -> report -> unit
+
+(** The report as checks: the invariant count and workloads, passing
+    when some invariant was checked and none failed, then one failing
+    check per failure. *)
+val checks : report -> Check.t list

@@ -2,55 +2,53 @@
     evaluation cache and the serve daemon.
 
     The cache's contract is {e invisibility}: plugging it into a sweep
-    may change wall-clock, never bytes.  This gate runs one FIR sweep
-    four ways — no cache; cold cache; warm cache (same directory,
-    should answer from disk); warm cache at [jobs=N] — and holds all
-    four canonical JSON reports to byte equality, while also requiring
-    the warm runs to actually hit (a cache that never hits is
+    may change wall-clock, never bytes.  This gate runs the sweep gate's
+    [grid] row four ways — no cache; cold cache; warm cache (same
+    directory, should answer from disk); warm cache at [jobs=N] — and
+    holds all four canonical JSON reports to byte equality, while also
+    requiring the warm runs to actually hit (a cache that never hits is
     trivially transparent and a broken one).  A final daemon round
     trip (ping → sweep → stats → shutdown over a real Unix socket)
-    checks the serve path returns that same byte-identical report. *)
+    checks the serve path returns the byte-identical report of the same
+    job run locally. *)
 
-type result = {
-  candidates : int;  (** evaluated per sweep *)
-  cold_transparent : bool;  (** no-cache vs cold-cache JSON byte-equal *)
-  warm_identical : bool;  (** cold vs warm JSON byte-equal *)
-  jobs_identical : bool;  (** warm [jobs=1] vs warm [jobs=N] byte-equal *)
-  warm_hits : int;  (** cache hits observed by the warm run *)
-  warm_hit_all : bool;  (** warm run answered every candidate from cache *)
-  daemon_identical : bool;  (** daemon-returned report byte-equal *)
-  daemon_ok : bool;  (** ping/stats/shutdown round trip succeeded *)
-}
+let check name ok detail = { Check.name; ok; detail }
 
-type report = { jobs : int; result : result }
+let byte_equal name what a b =
+  check name (String.equal a b)
+    (what ^ if String.equal a b then ": byte-identical" else ": differ")
 
-(* Same spirit as the sweep gate's workload: small but multi-wave,
-   multi-seed. *)
-let f_min = 4
-let f_max = 7
-let seeds = [ 0; 1 ]
+(* The job the daemon is sent.  The daemon sweeps its own default-sized
+   fir workload, so the reference is the same job resolved locally. *)
+let daemon_job =
+  {
+    Sweep.Job.workload = "fir";
+    strategy = "grid";
+    f_min = 4;
+    f_max = 7;
+    seeds = 2;
+    jobs = 1;
+    budget = None;
+    target_db = 40.0;
+    timeout_s = Some 300.0;
+  }
 
-let sweep ?cache ~jobs () =
-  let workload = Sweep.Workload.fir ~n:128 () in
-  let specs = workload.Sweep.Workload.specs in
-  let generator = Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds in
-  Sweep.Pool.run ~jobs ?cache ~workload ~generator ()
+let daemon_reference () =
+  match Sweep.Job.resolve daemon_job with
+  | Ok (workload, generator) ->
+      Sweep.Report.to_json (Sweep.Pool.run ~jobs:1 ~workload ~generator ())
+  | Error e -> invalid_arg ("Serve_check.daemon_job: " ^ e)
 
-(* A scratch directory under the system temp dir; unique-ish name via
-   pid + a counter, no cleanup races with the daemon socket inside. *)
-let scratch_counter = ref 0
+let request c req =
+  match Serve.Client.request c req with
+  | r -> Some r
+  | exception _ -> None
 
-let scratch_dir () =
-  incr scratch_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fxserve-gate-%d-%d" (Unix.getpid ()) !scratch_counter)
-  in
-  (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
-
-let daemon_trip ~dir ~reference =
+(* ping, sweep and stats on one connection; the daemon is sent its
+   shutdown on a fresh connection whatever happened before, so a failed
+   connect or a raised request still ends in [Thread.join] returning
+   and the gate printing a failing check instead of hanging. *)
+let daemon_trip ~dir =
   let socket = Filename.concat dir "gate.sock" in
   let daemon =
     Thread.create
@@ -59,137 +57,92 @@ let daemon_trip ~dir ~reference =
         with _ -> ())
       ()
   in
-  let identical = ref false in
-  let ok =
+  let bye = ref false in
+  let stop () =
+    (match Serve.Client.connect_retry socket with
+    | exception _ -> ()
+    | c ->
+        bye :=
+          (match request c (Serve.Protocol.Shutdown { id = "q" }) with
+          | Some (Serve.Protocol.Bye { id = "q" }) -> true
+          | _ -> false);
+        Serve.Client.close c);
+    Thread.join daemon
+  in
+  let exchange () =
     match Serve.Client.connect_retry socket with
-    | exception _ -> false
+    | exception e -> Error ("connect failed: " ^ Printexc.to_string e)
     | c ->
         Fun.protect
           ~finally:(fun () -> Serve.Client.close c)
           (fun () ->
-            let ping_ok =
-              match Serve.Client.request c (Serve.Protocol.Ping { id = "p" }) with
-              | Serve.Protocol.Pong { id = "p" } -> true
+            let ping =
+              match request c (Serve.Protocol.Ping { id = "p" }) with
+              | Some (Serve.Protocol.Pong { id = "p" }) -> true
               | _ -> false
             in
-            let sweep_ok =
+            let report =
               match
-                Serve.Client.request c
-                  (Serve.Protocol.Sweep
-                     {
-                       id = "s";
-                       params =
-                         {
-                           Serve.Protocol.workload = "fir";
-                           strategy = "grid";
-                           f_min;
-                           f_max;
-                           seeds = List.length seeds;
-                           jobs = 1;
-                           budget = None;
-                           target_db = 40.0;
-                           timeout_s = Some 300.0;
-                         };
-                     })
+                request c
+                  (Serve.Protocol.Sweep { id = "s"; params = daemon_job })
               with
-              | Serve.Protocol.Report { id = "s"; report; _ } ->
-                  (* the daemon's default fir is n=512; the gate's
-                     reference below uses the same daemon-side sweep
-                     re-requested, so compare against [reference]
-                     only when the caller built it the same way *)
-                  identical := String.equal report reference;
-                  true
+              | Some (Serve.Protocol.Report { id = "s"; report; _ }) ->
+                  Some report
+              | _ -> None
+            in
+            let stats =
+              match request c (Serve.Protocol.Stats { id = "t" }) with
+              | Some (Serve.Protocol.Stats_reply { id = "t"; _ }) -> true
               | _ -> false
             in
-            let stats_ok =
-              match Serve.Client.request c (Serve.Protocol.Stats { id = "t" }) with
-              | Serve.Protocol.Stats_reply { id = "t"; _ } -> true
-              | _ -> false
-            in
-            let bye_ok =
-              match
-                Serve.Client.request c (Serve.Protocol.Shutdown { id = "q" })
-              with
-              | Serve.Protocol.Bye { id = "q" } -> true
-              | _ -> false
-            in
-            ping_ok && sweep_ok && stats_ok && bye_ok)
+            Ok (ping, report, stats))
   in
-  Thread.join daemon;
-  (ok, !identical)
+  let trip = Fun.protect ~finally:stop exchange in
+  let reference = daemon_reference () in
+  match trip with
+  | Error e -> [ check "daemon/round-trip" false e; check "daemon/report" false e ]
+  | Ok (ping, report, stats) ->
+      [
+        check "daemon/round-trip"
+          (ping && report <> None && stats && !bye)
+          (Printf.sprintf "ping %b, sweep %b, stats %b, shutdown %b" ping
+             (report <> None) stats !bye);
+        (match report with
+        | Some r -> byte_equal "daemon/report" "daemon vs local report" r reference
+        | None -> check "daemon/report" false "no report received");
+      ]
 
 let run ~jobs =
-  let dir = scratch_dir () in
+  Durable.with_temp_dir ~prefix:"fxserve-gate" @@ fun dir ->
   let cache_dir = Filename.concat dir "cache" in
+  let sweep ?cache ~jobs () =
+    Sweep_check.sweep ~jobs
+      ?cache:(Option.map Serve.Codec.eval_cache cache)
+      "grid"
+  in
   (* reference: no cache at all *)
-  let reference = Sweep.Report.to_json (sweep ~jobs:1 ()) in
+  let plain = sweep ~jobs:1 () in
+  let candidates = List.length plain.Sweep.Report.entries in
+  let reference = Sweep.Report.to_json plain in
   (* cold: empty persistent cache *)
-  let cold_cache = Serve.Cache.create ~dir:cache_dir () in
   let cold =
     Sweep.Report.to_json
-      (sweep ~cache:(Serve.Codec.eval_cache cold_cache) ~jobs:1 ())
+      (sweep ~cache:(Serve.Cache.create ~dir:cache_dir ()) ~jobs:1 ())
   in
   (* warm: a fresh cache value over the same directory — hits must come
      from the persisted entries, not the in-process table *)
   let warm_cache = Serve.Cache.create ~dir:cache_dir () in
-  let warm =
-    Sweep.Report.to_json
-      (sweep ~cache:(Serve.Codec.eval_cache warm_cache) ~jobs:1 ())
-  in
-  let warm_stats = Serve.Cache.stats warm_cache in
+  let warm = Sweep.Report.to_json (sweep ~cache:warm_cache ~jobs:1 ()) in
+  let hits = (Serve.Cache.stats warm_cache).Serve.Cache.hits in
   (* warm parallel: shared cache under concurrent workers *)
-  let warm_jobs =
-    Sweep.Report.to_json
-      (sweep ~cache:(Serve.Codec.eval_cache warm_cache) ~jobs ())
-  in
-  let candidates =
-    (f_max - f_min + 1) * List.length seeds
-  in
-  (* daemon reference: the daemon sweeps its own default-sized fir
-     workload, so build the matching report locally *)
-  let daemon_reference =
-    let workload = Sweep.Workload.fir () in
-    let specs = workload.Sweep.Workload.specs in
-    let generator =
-      Sweep.Generator.grid ~specs ~f_min ~f_max ~seeds
-    in
-    Sweep.Report.to_json (Sweep.Pool.run ~jobs:1 ~workload ~generator ())
-  in
-  let daemon_ok, daemon_identical =
-    daemon_trip ~dir ~reference:daemon_reference
-  in
-  {
-    jobs;
-    result =
-      {
-        candidates;
-        cold_transparent = String.equal reference cold;
-        warm_identical = String.equal cold warm;
-        jobs_identical = String.equal warm warm_jobs;
-        warm_hits = warm_stats.Serve.Cache.hits;
-        warm_hit_all = warm_stats.Serve.Cache.hits >= candidates;
-        daemon_identical;
-        daemon_ok;
-      };
-  }
-
-let passed t =
-  let r = t.result in
-  r.cold_transparent && r.warm_identical && r.jobs_identical && r.warm_hit_all
-  && r.daemon_identical && r.daemon_ok
-
-let pp_report ppf t =
-  let r = t.result in
-  let verdict b = if b then "ok" else "FAILED" in
-  Format.fprintf ppf "serve cache transparency (%d candidates):@." r.candidates;
-  Format.fprintf ppf "  no-cache vs cold cache:     %s@."
-    (verdict r.cold_transparent);
-  Format.fprintf ppf "  cold vs warm (re-sweep):    %s@."
-    (verdict r.warm_identical);
-  Format.fprintf ppf "  warm jobs 1 vs %d:           %s@." t.jobs
-    (verdict r.jobs_identical);
-  Format.fprintf ppf "  warm hit coverage:          %s (%d hits / %d candidates)@."
-    (verdict r.warm_hit_all) r.warm_hits r.candidates;
-  Format.fprintf ppf "  daemon round trip:          %s@." (verdict r.daemon_ok);
-  Format.fprintf ppf "  daemon report byte-equal:   %s@."
-    (verdict r.daemon_identical)
+  let warm_jobs = Sweep.Report.to_json (sweep ~cache:warm_cache ~jobs ()) in
+  [
+    byte_equal "cold-transparent" "no cache vs cold cache" reference cold;
+    byte_equal "warm-identical" "cold vs warm re-sweep" cold warm;
+    byte_equal "jobs-identical"
+      (Printf.sprintf "warm jobs 1 vs %d" jobs)
+      warm warm_jobs;
+    check "warm-hits" (hits >= candidates)
+      (Printf.sprintf "%d hits / %d candidates" hits candidates);
+  ]
+  @ daemon_trip ~dir

@@ -1,31 +1,20 @@
 (** Cache-transparency gate — oracle for the content-addressed
     evaluation cache and the serve daemon.
 
-    Runs one FIR grid sweep four ways (no cache, cold persistent
-    cache, warm cache over the same directory, warm cache at
+    Runs the [grid] row of {!Sweep_check} four ways (no cache, cold
+    persistent cache, warm cache over the same directory, warm cache at
     [jobs=N]) and holds every canonical JSON report to byte equality;
     the warm run must additionally answer {e every} candidate from the
     persisted entries.  A real daemon round trip (ping → sweep → stats
-    → shutdown over a Unix socket) must return that same byte-identical
-    report.  The [serve] gate of {!Gates}. *)
-
-type result = {
-  candidates : int;  (** evaluated per sweep *)
-  cold_transparent : bool;  (** no-cache vs cold-cache JSON byte-equal *)
-  warm_identical : bool;  (** cold vs warm JSON byte-equal *)
-  jobs_identical : bool;  (** warm [jobs=1] vs warm [jobs=N] byte-equal *)
-  warm_hits : int;  (** cache hits observed by the warm run *)
-  warm_hit_all : bool;  (** warm run answered every candidate from cache *)
-  daemon_identical : bool;  (** daemon-returned report byte-equal *)
-  daemon_ok : bool;  (** ping/stats/shutdown round trip succeeded *)
-}
-
-type report = { jobs : int; result : result }
+    → shutdown over a Unix socket) must return the byte-identical
+    report of the same job run locally.  The [serve] gate of
+    {!Gates}. *)
 
 (** Run the gate with [jobs] (at least 2, see {!Gates.jobs}) on the
-    parallel warm side; uses a scratch directory under the system temp
-    dir for the cache and the daemon socket. *)
-val run : jobs:int -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+    parallel warm side, in a scratch directory under the system temp
+    dir (removed afterwards) holding the cache and the daemon socket.
+    Checks: [cold-transparent], [warm-identical], [jobs-identical],
+    [warm-hits], [daemon/round-trip] and [daemon/report].  The daemon
+    is always sent its shutdown, so a failed exchange fails a check
+    instead of leaving the daemon thread running. *)
+val run : jobs:int -> Check.t list

@@ -10,15 +10,6 @@
     monitor merging, shared mutable state between worker instances)
     fails it. *)
 
-type result = {
-  label : string;
-  jobs : int;  (** the parallel side's worker count *)
-  candidates : int;  (** evaluated by each side *)
-  identical : bool;  (** sequential and parallel JSON byte-equal *)
-}
-
-type report = { results : result list }
-
 (* Small but not trivial: 2 stimulus seeds × a few fractional positions
    exercise multi-candidate waves; 128 cycles keeps the gate fast.  The
    sync row runs the closed synchronizer, which has no compiled fast
@@ -52,40 +43,31 @@ let cases =
 
 (* generators are stateful wave protocols — build a fresh
    workload/generator pair per side *)
-let run_case ~jobs ?counters (_, workload, generator) =
+let run_case ~jobs ?counters ?cache (_, workload, generator) =
   let workload = workload () in
   let generator = generator workload.Sweep.Workload.specs in
-  Sweep.Pool.run ~jobs ?counters ~workload ~generator ()
+  Sweep.Pool.run ~jobs ?counters ?cache ~workload ~generator ()
 
-let sweep ~jobs ?counters label =
+let sweep ~jobs ?counters ?cache label =
   match List.find_opt (fun (l, _, _) -> String.equal l label) cases with
-  | Some case -> run_case ~jobs ?counters case
+  | Some case -> run_case ~jobs ?counters ?cache case
   | None -> invalid_arg ("Sweep_check.sweep: unknown row " ^ label)
 
 let run ~jobs =
-  let results =
-    List.map
-      (fun ((label, _, _) as case) ->
-        let sequential = run_case ~jobs:1 case in
-        let parallel = run_case ~jobs case in
-        {
-          label;
-          jobs;
-          candidates = List.length sequential.Sweep.Report.entries;
-          identical =
-            Sweep.Report.to_json sequential = Sweep.Report.to_json parallel;
-        })
-      cases
-  in
-  { results }
-
-let passed t = List.for_all (fun r -> r.identical) t.results
-
-let pp_report ppf t =
-  Format.fprintf ppf "sweep determinism:@.";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %-8s %3d candidates, jobs 1 vs %d: %s@." r.label
-        r.candidates r.jobs
-        (if r.identical then "identical" else "DIVERGED"))
-    t.results
+  List.map
+    (fun ((label, _, _) as case) ->
+      let sequential = run_case ~jobs:1 case in
+      let parallel = run_case ~jobs case in
+      let identical =
+        Sweep.Report.to_json sequential = Sweep.Report.to_json parallel
+      in
+      {
+        Check.name = label;
+        ok = identical;
+        detail =
+          Printf.sprintf "%d candidates, jobs 1 vs %d: %s"
+            (List.length sequential.Sweep.Report.entries)
+            jobs
+            (if identical then "identical" else "diverged");
+      })
+    cases

@@ -6,26 +6,21 @@
     reports byte-for-byte; any scheduling dependence (order-sensitive
     merging, shared worker state) fails the gate. *)
 
-type result = {
-  label : string;
-  jobs : int;  (** the parallel side's worker count *)
-  candidates : int;  (** evaluated by each side *)
-  identical : bool;  (** sequential and parallel JSON byte-equal *)
-}
-
-type report = { results : result list }
-
 (** [sweep ~jobs label] runs the row [label] once — the FIR workload
     under [grid], [grid-63] (a 63-candidate grid, not a multiple of
     {!Sweep.Pool.lane_width}), [bisect] or [pareto], or the closed
     synchronizer under a small grid ([sync]: [n_symbols] 48, f 6–8,
-    seeds 0 and 1) — through the counting sink when [counters].
-    Raises [Invalid_argument] on an unknown label. *)
-val sweep : jobs:int -> ?counters:bool -> string -> Sweep.Report.t
+    seeds 0 and 1) — through the counting sink when [counters] and the
+    evaluation cache when [cache].  Raises [Invalid_argument] on an
+    unknown label. *)
+val sweep :
+  jobs:int ->
+  ?counters:bool ->
+  ?cache:Refine.Eval.cache ->
+  string ->
+  Sweep.Report.t
 
 (** Run every row at [jobs=1] and at [jobs] (at least 2, see
-    {!Gates.jobs}). *)
-val run : jobs:int -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+    {!Gates.jobs}): one check per row, named after it, passing when the
+    two JSON reports are byte-identical. *)
+val run : jobs:int -> Check.t list

@@ -18,19 +18,6 @@
     The synchronizer sweep's jobs-independence is a row of
     {!Sweep_check}. *)
 
-type outcome = {
-  float_mer_db : float;  (** float loop, best-lag MER after transient *)
-  refined_mer_db : float;  (** same stimulus, refined fixed-point types *)
-  mer_delta_db : float;  (** float − refined *)
-  float_rate_err : float;  (** |strobe rate / (1/sps) − 1|, float run *)
-  refined_rate_err : float;
-  sqnr_after_db : float option;
-  integrator_dtype : string;  (** decided type of [lf_integ] *)
-  integrator_saturating : bool;  (** §5.1 case (b) remedy applied *)
-  integrator_case_b : bool;  (** MSB decision was [Prop_pessimistic] *)
-  nco_phase_overruled : bool;  (** §6.1 [error()] visible on [nco_eta] *)
-}
-
 let mer_of ~sent ~output =
   let received = Array.of_list (Sim.Channel.recorded output) in
   fst (Dsp.Pam.best_mer ~skip:300 ~sent ~received ())
@@ -64,46 +51,65 @@ let run () =
         && d.Refine.Decision.origin = Refine.Decision.Overruled)
       result.Refine.Flow.lsb_decisions
   in
-  {
-    float_mer_db;
-    refined_mer_db;
-    mer_delta_db = float_mer_db -. refined_mer_db;
-    float_rate_err;
-    refined_rate_err;
-    sqnr_after_db = result.Refine.Flow.sqnr_after_db;
-    integrator_dtype =
-      (match integ_dt with
-      | Some dt -> Fixpt.Dtype.to_string dt
-      | None -> "<undecided>");
-    integrator_saturating =
-      (match integ_dt with
-      | Some dt -> Fixpt.Overflow_mode.is_saturating (Fixpt.Dtype.overflow dt)
-      | None -> false);
-    integrator_case_b;
-    nco_phase_overruled;
-  }
-
-(* Lock thresholds: rate within 1% of 1/sps and refined MER within 2 dB
-   of float (ISSUE acceptance); the 15 dB floor is far above a 4-PAM
-   slicing threshold yet far below the ~24 dB a locked loop reaches —
-   it only rejects a loop that never locked. *)
-let passed o =
-  o.float_mer_db >= 15.0
-  && o.float_rate_err <= 0.01
-  && o.refined_rate_err <= 0.01
-  && o.mer_delta_db <= 2.0
-  && o.integrator_saturating && o.integrator_case_b && o.nco_phase_overruled
-
-let pp_report ppf o =
-  Format.fprintf ppf "synchronizer (ML-TED, 4-PAM, drifting tau):@.";
-  Format.fprintf ppf "  float    mer=%.2f dB rate_err=%.4f@." o.float_mer_db
-    o.float_rate_err;
-  Format.fprintf ppf "  refined  mer=%.2f dB rate_err=%.4f (delta %.2f dB%s)@."
-    o.refined_mer_db o.refined_rate_err o.mer_delta_db
-    (match o.sqnr_after_db with
-    | Some v -> Printf.sprintf ", sqnr %.1f dB" v
-    | None -> "");
-  Format.fprintf ppf "  lf_integ %s case_b=%b saturating=%b@."
-    o.integrator_dtype o.integrator_case_b o.integrator_saturating;
-  Format.fprintf ppf "  nco_eta  error() overrule observed=%b@."
-    o.nco_phase_overruled
+  let integ =
+    match integ_dt with
+    | Some dt -> Fixpt.Dtype.to_string dt
+    | None -> "<undecided>"
+  in
+  let integrator_saturating =
+    match integ_dt with
+    | Some dt -> Fixpt.Overflow_mode.is_saturating (Fixpt.Dtype.overflow dt)
+    | None -> false
+  in
+  let mer_delta_db = float_mer_db -. refined_mer_db in
+  (* Lock thresholds: rate within 1% of 1/sps and refined MER within
+     2 dB of float; the 15 dB floor is far above a 4-PAM slicing
+     threshold yet far below the ~24 dB a locked loop reaches — it only
+     rejects a loop that never locked. *)
+  [
+    {
+      Check.name = "float/mer";
+      ok = float_mer_db >= 15.0;
+      detail = Printf.sprintf "%.2f dB (at least 15 dB)" float_mer_db;
+    };
+    {
+      Check.name = "float/rate";
+      ok = float_rate_err <= 0.01;
+      detail = Printf.sprintf "strobe rate error %.4f (at most 0.01)" float_rate_err;
+    };
+    {
+      Check.name = "refined/rate";
+      ok = refined_rate_err <= 0.01;
+      detail =
+        Printf.sprintf "strobe rate error %.4f (at most 0.01)" refined_rate_err;
+    };
+    {
+      Check.name = "refined/mer";
+      ok = mer_delta_db <= 2.0;
+      detail =
+        Printf.sprintf "%.2f dB, float - refined = %.2f dB (at most 2 dB)%s"
+          refined_mer_db mer_delta_db
+          (match result.Refine.Flow.sqnr_after_db with
+          | Some v -> Printf.sprintf ", sqnr %.1f dB" v
+          | None -> "");
+    };
+    {
+      Check.name = "lf_integ/saturating";
+      ok = integrator_saturating;
+      detail = integ;
+    };
+    {
+      Check.name = "lf_integ/case-b";
+      ok = integrator_case_b;
+      detail =
+        (if integrator_case_b then "MSB decided as case (b)"
+         else "MSB not decided as case (b)");
+    };
+    {
+      Check.name = "nco_eta/overruled";
+      ok = nco_phase_overruled;
+      detail =
+        (if nco_phase_overruled then "error() overrule observed"
+         else "error() overrule missing");
+    };
+  ]

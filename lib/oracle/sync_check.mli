@@ -3,22 +3,9 @@
     integrator and the [error()]-overruled NCO phase visible in the
     decisions.  Its sweep determinism is a row of {!Sweep_check}. *)
 
-type outcome = {
-  float_mer_db : float;
-  refined_mer_db : float;
-  mer_delta_db : float;
-  float_rate_err : float;
-  refined_rate_err : float;
-  sqnr_after_db : float option;
-  integrator_dtype : string;
-  integrator_saturating : bool;
-  integrator_case_b : bool;
-  nco_phase_overruled : bool;
-}
-
 (** Build, lock, refine and re-lock the registry's synchronizer
-    ({!Scenario.sync}, 700 symbols). *)
-val run : unit -> outcome
-
-val passed : outcome -> bool
-val pp_report : Format.formatter -> outcome -> unit
+    ({!Scenario.sync}, 700 symbols): one check per condition — float
+    MER ≥ 15 dB, float and refined strobe-rate error ≤ 1%, refined MER
+    at most 2 dB below float, [lf_integ] saturating and decided as
+    case (b), and the [nco_eta] [error()] overrule. *)
+val run : unit -> Check.t list

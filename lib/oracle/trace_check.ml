@@ -13,55 +13,42 @@
       sequential sweep is compared byte-for-byte against the uncounted
       one. *)
 
-type result = {
-  strategy : string;
-  jobs : int;  (** the parallel side's worker count *)
-  candidates : int;
-  counters_identical : bool;
-      (** counters JSON at jobs=1 vs jobs=N byte-equal *)
-  observer_neutral : bool;
-      (** report JSON with vs without counters byte-equal *)
-}
-
-type report = { results : result list }
-
 (* The sweep gate's rows, run with and without the counting sink. *)
 let strategies = [ "grid"; "bisect"; "pareto" ]
 
 let run ~jobs =
-  let results =
-    List.map
-      (fun strategy ->
-        let sequential = Sweep_check.sweep ~jobs:1 ~counters:true strategy in
-        let parallel = Sweep_check.sweep ~jobs ~counters:true strategy in
-        let plain = Sweep_check.sweep ~jobs:1 ~counters:false strategy in
+  List.concat_map
+    (fun strategy ->
+      let sequential = Sweep_check.sweep ~jobs:1 ~counters:true strategy in
+      let parallel = Sweep_check.sweep ~jobs ~counters:true strategy in
+      let plain = Sweep_check.sweep ~jobs:1 ~counters:false strategy in
+      let candidates = List.length sequential.Sweep.Report.entries in
+      let counters_identical =
+        String.equal
+          (Sweep.Report.counters_json sequential)
+          (Sweep.Report.counters_json parallel)
+      in
+      let observer_neutral =
+        String.equal
+          (Sweep.Report.to_json sequential)
+          (Sweep.Report.to_json plain)
+      in
+      [
         {
-          strategy;
-          jobs;
-          candidates = List.length sequential.Sweep.Report.entries;
-          counters_identical =
-            String.equal
-              (Sweep.Report.counters_json sequential)
-              (Sweep.Report.counters_json parallel);
-          observer_neutral =
-            String.equal
-              (Sweep.Report.to_json sequential)
-              (Sweep.Report.to_json plain);
-        })
-      strategies
-  in
-  { results }
-
-let passed t =
-  List.for_all (fun r -> r.counters_identical && r.observer_neutral) t.results
-
-let pp_report ppf t =
-  Format.fprintf ppf "trace determinism:@.";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf
-        "  %-8s %3d candidates, counters jobs 1 vs %d: %s; observer: %s@."
-        r.strategy r.candidates r.jobs
-        (if r.counters_identical then "identical" else "DIVERGED")
-        (if r.observer_neutral then "neutral" else "PERTURBED"))
-    t.results
+          Check.name = strategy ^ "/counters";
+          ok = counters_identical;
+          detail =
+            Printf.sprintf "%d candidates, counters jobs 1 vs %d: %s"
+              candidates jobs
+              (if counters_identical then "identical" else "diverged");
+        };
+        {
+          Check.name = strategy ^ "/observer";
+          ok = observer_neutral;
+          detail =
+            (if observer_neutral then
+               "report with counters byte-identical to without"
+             else "counting sink perturbed the report");
+        };
+      ])
+    strategies

@@ -2,9 +2,6 @@
     soundness cross-check and counterexample golden files over the
     conformance workloads and the pinned biquads. *)
 
-type result = { name : string; detail : string; ok : bool }
-type report = { results : result list }
-
 let max_bits = 10
 let depth = 48
 let max_states = 4096
@@ -60,24 +57,10 @@ let cross_check_ranges g node =
                (Fixpt.Dtype.to_string dt))
     | _ -> Error (Printf.sprintf "refuted node %s is not a quantizer" node)
 
-(* The counterexample's golden stimulus file, through {!Golden}: the
-   detail line and whether it passes. *)
-let stimulus_golden ~update ~dir file text =
-  let path = Filename.concat dir file in
-  match (Golden.compare_one ~update ~dir file text).Golden.outcome with
-  | Golden.Match -> ("matches " ^ path, true)
-  | Golden.Created -> ("created " ^ path, true)
-  | Golden.Updated -> ("updated " ^ path, true)
-  | Golden.Missing ->
-      ( Printf.sprintf "golden stimulus %s missing (run with --update-golden)"
-          path,
-        false )
-  | Golden.Differ d -> (Printf.sprintf "differs from %s: %s" path d, false)
-
 let run ?(update = false) ?dir () =
   let dir = match dir with Some d -> d | None -> Golden.default_dir () in
   let results = ref [] in
-  let push name detail ok = results := { name; detail; ok } :: !results in
+  let push name detail ok = results := { Check.name; detail; ok } :: !results in
   List.iter
     (fun (wname, mk) ->
       List.iter
@@ -114,12 +97,15 @@ let run ?(update = false) ?dir () =
                   (* the counterexample becomes a permanent conformance
                      input: golden stimulus file + replay from the file *)
                   let text = Verify.Stim.to_string ~property:prop ce in
-                  let detail, ok =
-                    stimulus_golden ~update ~dir
+                  let entry =
+                    Golden.compare_one ~update ~dir
                       (Printf.sprintf "verify_%s_%s.stim" wname pname)
                       text
                   in
-                  push (rname ^ "/stimulus") detail ok;
+                  List.iter
+                    (fun (c : Check.t) ->
+                      push (rname ^ "/stimulus") c.Check.detail c.Check.ok)
+                    (Golden.checks { Golden.dir; entries = [ entry ] });
                   (match Verify.Stim.of_string text with
                   | Error e ->
                       push (rname ^ "/replay")
@@ -140,14 +126,4 @@ let run ?(update = false) ?dir () =
               | Verify.Engine.Proved | Verify.Engine.Bounded_out _ -> ()))
         properties)
     (targets ());
-  { results = List.rev !results }
-
-let passed r = List.for_all (fun x -> x.ok) r.results
-
-let pp_report ppf r =
-  List.iter
-    (fun x ->
-      Format.fprintf ppf "  [%s] %-42s %s@."
-        (if x.ok then "ok" else "XX")
-        x.name x.detail)
-    r.results
+  List.rev !results

@@ -19,9 +19,6 @@
       interpreter and the compiled executor ({!Verify.Engine.confirm}),
       so refuted cases are permanent, reproducible regression inputs. *)
 
-type result = { name : string; detail : string; ok : bool }
-type report = { results : result list }
-
 (** Search budgets the gate verifies under (small enough to keep the
     gate fast, large enough to close the biquad state spaces). *)
 val max_bits : int
@@ -36,7 +33,4 @@ val targets : unit -> (string * (unit -> Sfg.Graph.t)) list
 
 (** [run ?update ?dir ()] — [update] (re)writes the golden stimulus
     files; [dir] defaults to {!Golden.default_dir}. *)
-val run : ?update:bool -> ?dir:string -> unit -> report
-
-val passed : report -> bool
-val pp_report : Format.formatter -> report -> unit
+val run : ?update:bool -> ?dir:string -> unit -> Check.t list

@@ -13,7 +13,10 @@
 #      only by the scenario registry (lib/scenario/), the CLI
 #      and the daemon resolve sweep jobs only through Sweep.Job, and
 #      the bench baseline files are named, written and read only by
-#      lib/oracle/bench_guard.ml, so none grows a second copy again;
+#      lib/oracle/bench_guard.ml, and a gate verdict is printed and
+#      judged only by lib/oracle/check.ml (no `let passed`,
+#      `let pp_report` or `let pp_result` elsewhere in lib/oracle), so
+#      none grows a second copy again;
 #   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
@@ -89,6 +92,13 @@ fi
 if grep -rn 'BENCH_' lib bin bench --include='*.ml' --include='*.mli' \
   | grep -v '^lib/oracle/bench_guard\.ml:'; then
   echo "check.sh: a bench baseline file named outside lib/oracle/bench_guard.ml (record/read it through Oracle.Bench_guard)" >&2
+  exit 1
+fi
+# One gate verdict: every gate returns Oracle.Check.t list, and only
+# check.ml judges (passed) and prints (pp) one.
+if grep -nE 'let (passed|pp_report|pp_result)([^A-Za-z0-9_]|$)' lib/oracle/*.ml \
+  | grep -v '^lib/oracle/check\.ml:'; then
+  echo "check.sh: a gate verdict judged or printed outside lib/oracle/check.ml (return Oracle.Check.t list)" >&2
   exit 1
 fi
 with_timeout 60 sh scripts/check_links.sh

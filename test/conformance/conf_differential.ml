@@ -14,8 +14,9 @@ let seed = Test_support.Qseed.seed
 
 let test_batch () =
   let r = Oracle.Differential.run ~seed ~per_combo:1000 () in
-  if not (Oracle.Differential.passed r) then
-    Alcotest.failf "%a" Oracle.Differential.pp_report r;
+  let checks = Oracle.Differential.checks r in
+  if not (Oracle.Check.passed checks) then
+    Alcotest.failf "%a" Oracle.Check.pp checks;
   Alcotest.(check bool)
     "at least 1000 cases per combination" true
     (r.Oracle.Differential.total_cases

@@ -2,7 +2,7 @@
 
 open Fixrefine
 
-let names = List.map (fun (Oracle.Gates.Gate g) -> g.name) Oracle.Gates.all
+let names = List.map (fun (g : Oracle.Gates.t) -> g.name) Oracle.Gates.all
 
 let index name =
   let rec go i = function
@@ -55,15 +55,23 @@ let test_bench_rows_resolve () =
         guard.Oracle.Bench_guard.rows)
     guards
 
+(* A gate that produced no checks proved nothing. *)
+let test_no_checks_fail () =
+  Alcotest.(check bool) "no checks fail" false (Oracle.Check.passed []);
+  let c ok = { Oracle.Check.name = "c"; ok; detail = "" } in
+  Alcotest.(check bool) "all ok pass" true (Oracle.Check.passed [ c true ]);
+  Alcotest.(check bool) "one failure fails" false
+    (Oracle.Check.passed [ c true; c false ])
+
 let test_guard_threshold () =
-  let report ratio =
+  let checks ratio =
     Oracle.Bench_guard.score Oracle.Bench_guard.sim
       [ ("row", 1.0) ] [ ("row", ratio) ]
   in
   Alcotest.(check bool) "0.79x fails" false
-    (Oracle.Bench_guard.passed (report 0.79));
+    (Oracle.Check.passed (checks 0.79));
   Alcotest.(check bool) "0.80x passes" true
-    (Oracle.Bench_guard.passed (report 0.80))
+    (Oracle.Check.passed (checks 0.80))
 
 let contains needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -72,14 +80,17 @@ let contains needle hay =
 
 let test_report_unit () =
   let g = Oracle.Bench_guard.verify in
-  let text =
-    Format.asprintf "%a" Oracle.Bench_guard.pp_report
-      (Oracle.Bench_guard.score g
-         [ ("verify-biquad-proof", 100.0) ]
-         [ ("verify-biquad-proof", 90.0) ])
-  in
-  if not (contains "90 transitions/sec vs baseline" text) then
-    Alcotest.failf "verify report lacks its unit:\n%s" text
+  match
+    Oracle.Bench_guard.score g
+      [ ("verify-biquad-proof", 100.0) ]
+      [ ("verify-biquad-proof", 90.0) ]
+  with
+  | [ c ] ->
+      Alcotest.(check string) "named after the row" "verify-biquad-proof"
+        c.Oracle.Check.name;
+      if not (contains "90 transitions/sec vs baseline 100" c.Oracle.Check.detail)
+      then Alcotest.failf "verify row lacks its unit: %s" c.Oracle.Check.detail
+  | cs -> Alcotest.failf "one row scored into %d checks" (List.length cs)
 
 let figures (g : Oracle.Bench_guard.guard) =
   List.mapi
@@ -130,18 +141,18 @@ let test_baseline_run () =
   let broken = Oracle.Bench_guard.(run { sync with file }) in
   Sys.remove file;
   Alcotest.(check bool) "broken file fails" false
-    (Oracle.Bench_guard.passed broken);
-  Alcotest.(check bool) "broken file measures nothing" true
-    (broken.Oracle.Bench_guard.entries = []);
-  Alcotest.(check bool) "broken file is named" true
-    (match broken.Oracle.Bench_guard.error with
-    | Some e -> contains file e
-    | None -> false);
+    (Oracle.Check.passed broken);
+  (match broken with
+  | [ c ] ->
+      Alcotest.(check bool) "broken file is named" true
+        (contains file c.Oracle.Check.detail)
+  | cs ->
+      Alcotest.failf "broken file measured %d rows" (List.length cs - 1));
   let missing = Oracle.Bench_guard.(run { sync with file }) in
   Alcotest.(check bool) "missing file passes" true
-    (Oracle.Bench_guard.passed missing);
+    (Oracle.Check.passed missing);
   Alcotest.(check bool) "missing file is skipped" true
-    (missing.Oracle.Bench_guard.note <> None)
+    (List.exists (fun c -> contains "skipped" c.Oracle.Check.detail) missing)
 
 (* The committed baselines, at the repo root. *)
 let test_committed_baselines () =
@@ -177,6 +188,7 @@ let suite =
       Alcotest.test_case "chaos before domain gates" `Quick
         test_chaos_before_domains;
       Alcotest.test_case "bench rows resolve" `Quick test_bench_rows_resolve;
+      Alcotest.test_case "no checks fail the gate" `Quick test_no_checks_fail;
       Alcotest.test_case "guard fails below 0.8x" `Quick test_guard_threshold;
       Alcotest.test_case "report prints the guard's unit" `Quick
         test_report_unit;

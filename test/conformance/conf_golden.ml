@@ -12,12 +12,12 @@ open Fixrefine
 let result = lazy (Oracle.Golden.check ())
 
 let test_goldens_match () =
-  let r = Lazy.force result in
-  if not (Oracle.Golden.passed r) then
+  let checks = Oracle.Golden.checks (Lazy.force result) in
+  if not (Oracle.Check.passed checks) then
     Alcotest.failf
       "%a@.regenerate with: dune exec bin/fxrefine.exe -- check \
        --update-golden"
-      Oracle.Golden.pp_result r
+      Oracle.Check.pp checks
 
 let test_trace_coverage () =
   (* at least the three refine-flow workloads carry both a trace and a
@@ -53,7 +53,7 @@ let test_missing_reported () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "fx_no_goldens" in
   let r = Oracle.Golden.check ~dir () in
   Alcotest.(check bool) "missing goldens fail the check" false
-    (Oracle.Golden.passed r);
+    (Oracle.Check.passed (Oracle.Golden.checks r));
   Alcotest.(check bool) "every entry reported missing" true
     (List.for_all
        (fun e -> e.Oracle.Golden.outcome = Oracle.Golden.Missing)

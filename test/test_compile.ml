@@ -275,15 +275,14 @@ let test_fir_compiled_metric_parity () =
 (* --- conformance workloads: the full oracle gate ----------------------- *)
 
 let test_conformance_gate () =
-  let r = Oracle.Compile_check.run () in
+  let checks = Oracle.Compile_check.run () in
   List.iter
-    (fun (x : Oracle.Compile_check.result) ->
-      if not x.Oracle.Compile_check.ok then
-        Alcotest.failf "%s: %s" x.Oracle.Compile_check.name
-          x.Oracle.Compile_check.detail)
-    r.Oracle.Compile_check.results;
+    (fun (x : Oracle.Check.t) ->
+      if not x.Oracle.Check.ok then
+        Alcotest.failf "%s: %s" x.Oracle.Check.name x.Oracle.Check.detail)
+    checks;
   check bool_t "gate covers all six workloads and the sweep" true
-    (List.length r.Oracle.Compile_check.results >= 13)
+    (List.length checks >= 13)
 
 (* --- candidate lanes ------------------------------------------------------ *)
 

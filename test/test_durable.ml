@@ -9,18 +9,6 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let string_t = Alcotest.string
 
-let scratch =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fxdurable-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
 let overwrite path s =
   let oc = open_out_bin path in
   output_string oc s;
@@ -39,7 +27,7 @@ let test_crc32_vector () =
   check bool_t "of_hex rejects non-hex" true (C.of_hex "cbf4392g" = None)
 
 let test_record_roundtrip () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxdurable-test" @@ fun dir ->
   let path = Filename.concat dir "r.rec" in
   let payload = "line one\nline two\000\255" in
   Durable.write ~magic:"fxtest1" path payload;
@@ -53,6 +41,25 @@ let test_record_roundtrip () =
     (Durable.scan ~suffix:".tmp" dir = []);
   check bool_t "scan finds it by stem" true
     (Durable.scan ~suffix:".rec" dir = [ ("r", path) ])
+
+(* The scratch directory is fresh, and removed with its contents when
+   the caller returns or raises. *)
+let test_temp_dir_removed () =
+  let fill dir =
+    Durable.mkdir_p (Filename.concat dir "a/b");
+    overwrite (Filename.concat dir "a/b/f") "x";
+    dir
+  in
+  let d1 = Durable.with_temp_dir ~prefix:"fxdurable-test" fill in
+  check bool_t "removed after return" false (Sys.file_exists d1);
+  let d2 = ref "" in
+  (try
+     Durable.with_temp_dir ~prefix:"fxdurable-test" (fun dir ->
+         d2 := fill dir;
+         failwith "boom")
+   with Failure _ -> ());
+  check bool_t "a fresh name each time" true (!d2 <> d1);
+  check bool_t "removed after raise" false (Sys.file_exists !d2)
 
 (* --- one record of each store ------------------------------------------- *)
 
@@ -137,8 +144,6 @@ let intent_store =
    data served or re-run).  The CRC frame catches every single-byte
    flip, so this holds for each draw, not just most. *)
 let prop_torn_record_heals =
-  let root = scratch () in
-  let ctr = ref 0 in
   QCheck2.Test.make
     ~name:"torn/corrupted records always heal (cache, wave, intent)"
     ~count:150
@@ -148,8 +153,7 @@ let prop_torn_record_heals =
         (int_range 0 2)
         (pair nat (int_range 1 255)))
     (fun (kind, payload, mode, (off, x)) ->
-      incr ctr;
-      let dir = Filename.concat root (string_of_int !ctr) in
+      Durable.with_temp_dir ~prefix:"fxdurable-test" @@ fun dir ->
       let store = List.nth [ cache_store; wave_store; intent_store ] kind in
       let path = store.write dir payload in
       let raw = Durable.read_file path in
@@ -171,5 +175,6 @@ let suite =
     [
       Alcotest.test_case "crc32 vector" `Quick test_crc32_vector;
       Alcotest.test_case "record roundtrip" `Quick test_record_roundtrip;
+      Alcotest.test_case "temp dir removed" `Quick test_temp_dir_removed;
       Test_support.Qseed.to_alcotest prop_torn_record_heals;
     ] )

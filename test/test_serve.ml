@@ -12,18 +12,6 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let string_t = Alcotest.string
 
-let scratch =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fxserve-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
 (* --- cache keys ---------------------------------------------------------- *)
 
 let key_of ?(design = "{\"nodes\": []}") ?(assigns = []) ?(probe = Some "out")
@@ -177,7 +165,7 @@ let test_cache_memory_roundtrip () =
   check int_t "one entry" 1 s.Serve.Cache.entries
 
 let test_cache_persistence () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let c1 = Serve.Cache.create ~dir () in
   Serve.Cache.insert c1 "aaaa" "first";
   Serve.Cache.insert c1 "bbbb" "second";
@@ -206,7 +194,7 @@ let test_cache_eviction () =
   check bool_t "newest kept" true (Serve.Cache.lookup c "k3" = Some "v3")
 
 let test_cache_corrupt_recovery () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let c1 = Serve.Cache.create ~dir () in
   Serve.Cache.insert c1 "good" "intact payload";
   Serve.Cache.insert c1 "trunc" "this one gets cut";
@@ -240,7 +228,7 @@ let test_cache_corrupt_recovery () =
    header's byte count — only the CRC-32 catches it.  The damaged key
    must heal as a clean miss and accept a re-insert. *)
 let test_cache_crc_heal_on_read () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let c1 = Serve.Cache.create ~dir () in
   Serve.Cache.insert c1 "rot" "bitrot target payload";
   let path = Filename.concat dir "rot.entry" in
@@ -271,7 +259,7 @@ let test_cache_crc_heal_on_read () =
    so corruption that happened after the load scan is still caught and
    dropped from the in-memory index too. *)
 let test_cache_scrub () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let c = Serve.Cache.create ~dir () in
   Serve.Cache.insert c "keep" "good";
   Serve.Cache.insert c "rotten" "about to decay";
@@ -292,7 +280,7 @@ let test_cache_scrub () =
 (* --- job journal ---------------------------------------------------------- *)
 
 let test_journal_lifecycle () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let j = Serve.Journal.create ~dir in
   let name = Serve.Journal.fresh_name j in
   let e = { Serve.Journal.name; attempts = 1; line = "sweep request line" } in
@@ -333,7 +321,7 @@ let test_journal_lifecycle () =
    parses as a valid request — one nobody submitted.  The record's CRC
    must send it to quarantine, never to the re-run list. *)
 let test_journal_flipped_intent_quarantined () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let j = Serve.Journal.create ~dir in
   let name = Serve.Journal.fresh_name j in
   let line =
@@ -383,7 +371,7 @@ let test_journal_flipped_intent_quarantined () =
 (* --- connect_retry failure taxonomy --------------------------------------- *)
 
 let test_connect_retry_failures () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   (* no socket path at all: the daemon never started *)
   let missing = Filename.concat dir "never.sock" in
   (match
@@ -424,7 +412,7 @@ let run_sweep ?cache () =
   Sweep.Report.to_json (Sweep.Pool.run ~jobs:1 ?cache ~workload ~generator ())
 
 let test_cold_warm_byte_equal () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let reference = run_sweep () in
   let cold_cache = Serve.Cache.create ~dir () in
   let cold = run_sweep ~cache:(Serve.Codec.eval_cache cold_cache) () in
@@ -509,7 +497,7 @@ let test_protocol_roundtrip () =
 (* --- daemon round trip ---------------------------------------------------- *)
 
 let test_daemon_roundtrip () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxserve-test" @@ fun dir ->
   let socket = Filename.concat dir "t.sock" in
   let daemon =
     Thread.create (fun () -> try Serve.Daemon.run ~socket () with _ -> ()) ()

@@ -232,18 +232,6 @@ let test_pool_sqnr_monotone () =
 
 (* --- checkpoint / resume -------------------------------------------------- *)
 
-let scratch =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fxsweep-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
 (* Count real evaluations via the one per-candidate call both the
    interpreter and the compiled paths make. *)
 let counting_workload counter (w : Sweep.Workload.t) =
@@ -344,7 +332,7 @@ let ckpt_sweep ?counter ?checkpoint () =
     (Sweep.Pool.run ~jobs:1 ?checkpoint ~workload ~generator ())
 
 let test_checkpoint_resume_identical () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxsweep-test" @@ fun dir ->
   let reference = ckpt_sweep () in
   (* fresh checkpointed run: journals every wave, changes no bytes *)
   let cp1 = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
@@ -369,7 +357,7 @@ let wave_files cp =
   |> List.sort compare
 
 let test_checkpoint_partial_resume () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxsweep-test" @@ fun dir ->
   let reference = ckpt_sweep () in
   let cp1 = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
   ignore (ckpt_sweep ~checkpoint:cp1 ());
@@ -385,7 +373,7 @@ let test_checkpoint_partial_resume () =
   check int_t "only the missing wave re-evaluated" 2 !n
 
 let test_checkpoint_corrupt_wave_reevaluated () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxsweep-test" @@ fun dir ->
   let reference = ckpt_sweep () in
   let cp1 = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
   ignore (ckpt_sweep ~checkpoint:cp1 ());
@@ -419,7 +407,7 @@ let test_checkpoint_corrupt_wave_reevaluated () =
    only the record's CRC can tell.  Resume must re-evaluate that wave
    and render the reference bytes. *)
 let test_checkpoint_float_flip_reevaluated () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxsweep-test" @@ fun dir ->
   let reference = ckpt_sweep () in
   let cp1 = Sweep.Checkpoint.create ~dir ~key:ckpt_key () in
   ignore (ckpt_sweep ~checkpoint:cp1 ());
@@ -458,7 +446,7 @@ let test_checkpoint_float_flip_reevaluated () =
     (fst (Sweep.Checkpoint.replayed cp2))
 
 let test_checkpoint_rejects_counters () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxsweep-test" @@ fun dir ->
   let workload = Sweep.Workload.fir ~n:64 () in
   let generator =
     Sweep.Generator.grid ~specs:workload.Sweep.Workload.specs ~f_min:4
@@ -476,7 +464,7 @@ let test_checkpoint_rejects_counters () =
    share a checkpoint key — must not share a temp file: with one fixed
    temp name, the loser's rename found it already renamed away. *)
 let test_checkpoint_concurrent_record () =
-  let dir = scratch () in
+  Durable.with_temp_dir ~prefix:"fxsweep-test" @@ fun dir ->
   let w = Sweep.Workload.fir ~n:64 () in
   let inst = w.Sweep.Workload.make_instance () in
   let cand id f =
