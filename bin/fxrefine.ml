@@ -505,9 +505,8 @@ let sweep_cmd =
 
 let faultsim_strategies = [ "grid"; "pareto" ]
 
-let run_faultsim (job : Sweep.Job.t) plan_file fault_seed nan_rate inf_rate
-    denormal_rate extreme_rate extreme_mag bitflip_rate overflow_rate
-    starve_after targets on_overflow emit_plan json counters_file verbose =
+let run_faultsim (job : Sweep.Job.t) plan_file fault_seed bitflip_rate
+    overflow_rate targets on_overflow emit_plan json counters_file verbose =
   setup_logs verbose;
   let plan =
     match plan_file with
@@ -523,17 +522,20 @@ let run_faultsim (job : Sweep.Job.t) plan_file fault_seed nan_rate inf_rate
             Format.eprintf "--on-overflow: %s@." e;
             exit 1
         | Ok on_overflow ->
-            Fault.Plan.make ~seed:fault_seed ~nan_rate ~inf_rate
-              ~denormal_rate ~extreme_rate ~extreme_mag ~bitflip_rate
-              ~force_overflow_rate:overflow_rate ?starve_after ~targets
-              ~on_overflow ())
+            Fault.Plan.make ~seed:fault_seed ~bitflip_rate
+              ~force_overflow_rate:overflow_rate ~targets ~on_overflow ())
   in
   if emit_plan then print_string (Fault.Plan.to_json plan)
   else begin
     let workload, generator =
       resolve_or_exit ~strategies:faultsim_strategies job
     in
-    let workload = Fault.Inject.workload plan workload in
+    let workload =
+      try Fault.Inject.workload plan workload
+      with Invalid_argument e ->
+        Format.eprintf "faultsim: %s@." e;
+        exit 1
+    in
     Format.eprintf "faultsim: plan %a@." Fault.Plan.pp plan;
     let report =
       Sweep.Pool.run ~jobs:job.Sweep.Job.jobs
@@ -569,37 +571,19 @@ let faultsim_cmd =
       & info [ "fault-seed" ] ~doc:"Fault schedule seed (pure-hash replay).")
   in
   let rate name doc = Arg.(value & opt float 0.0 & info [ name ] ~doc) in
-  let nan_t = rate "nan-rate" "Stimulus sample -> NaN probability." in
-  let inf_t = rate "inf-rate" "Stimulus sample -> +/-infinity probability." in
-  let denormal_t =
-    rate "denormal-rate" "Stimulus sample -> IEEE denormal probability."
-  in
-  let extreme_t =
-    rate "extreme-rate" "Stimulus sample -> +/-extreme-mag probability."
-  in
-  let extreme_mag_t =
-    Arg.(
-      value & opt float 1e30
-      & info [ "extreme-mag" ] ~doc:"Magnitude of an extreme sample.")
-  in
   let bitflip_t =
     rate "bitflip-rate" "Post-quantization SEU probability per assignment."
   in
   let overflow_t =
     rate "overflow-rate" "Forced overflow probability per assignment."
   in
-  let starve_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "starve-after" ]
-          ~doc:"Stimulus channels produce only this many samples.")
-  in
   let targets_t =
     Arg.(
       value & opt_all string []
       & info [ "target" ] ~docv:"SIGNAL"
-          ~doc:"Inject only into \\$(docv) (repeatable; default: all).")
+          ~doc:
+            "Inject only into $(docv) (repeatable; default: all); a \
+             name that is not a signal of the workload is an error.")
   in
   let on_overflow_t =
     Arg.(
@@ -628,10 +612,8 @@ let faultsim_cmd =
     Term.(
       const run_faultsim
       $ job_t ~strategies:faultsim_strategies ~f_range:(4, 7) ()
-      $ plan_t $ fault_seed_t $ nan_t $ inf_t
-      $ denormal_t $ extreme_t $ extreme_mag_t $ bitflip_t $ overflow_t
-      $ starve_t $ targets_t $ on_overflow_t $ emit_plan_t $ json_t
-      $ counters_file_t $ verbose_t)
+      $ plan_t $ fault_seed_t $ bitflip_t $ overflow_t $ targets_t
+      $ on_overflow_t $ emit_plan_t $ json_t $ counters_file_t $ verbose_t)
 
 (* --- trace: one workload under full tracing ----------------------------- *)
 

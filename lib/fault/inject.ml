@@ -1,14 +1,12 @@
-(** Executing a {!Plan}: arming environments, channels and sweep
-    workloads with deterministic fault injection.
+(** Executing a {!Plan}: arming environments and sweep workloads with
+    deterministic fault injection.
 
-    Three attachment points, mirroring where real silicon gets hurt:
+    Two attachment points:
 
     - {e assignment site} ({!arm_env} / {!injector}): the
       {!Sim.Env.set_injector} hook transforms post-quantization values —
-      SEU bitflips on the stored code, forced overflow events;
-    - {e stimulus} ({!wrap_channel}): the channel's producer is wrapped
-      to corrupt samples (NaN / ±∞ / denormal / extreme) or starve the
-      stream;
+      SEU bitflips on the stored code, forced overflow events — at the
+      point where the paper quantizes a value;
     - {e sweep} ({!workload}): a {!Sweep.Workload.t} is wrapped so each
       candidate evaluation runs under the plan, keyed by the candidate's
       stimulus seed — the fault set per candidate is a pure function of
@@ -57,6 +55,10 @@ let apply_bitflip plan ~tag (e : Sim.Env.entry) fx =
 
 (* --- forced overflow ---------------------------------------------------- *)
 
+(* What a forced overflow holds on an untyped (floating-point) signal,
+   which has no saturation bound of its own. *)
+let untyped_overflow_mag = 1e30
+
 (* Pretend the quantizer overflowed: emit the fault event, push the
    out-of-range raw value through the policy (count / warn / raise /
    collect), and hand back the saturation bound — what the hardware
@@ -79,7 +81,7 @@ let apply_force_overflow plan ~tag (e : Sim.Env.entry) fx =
           (-.((2.0 *. Float.abs q.Fixpt.Quantize.min_v) +. 1.0),
            q.Fixpt.Quantize.min_v)
     | None ->
-        let m = plan.Plan.extreme_mag in
+        let m = untyped_overflow_mag in
         if above then (m, m) else (-.m, -.m)
   in
   ignore fx;
@@ -122,53 +124,6 @@ let arm_env plan ?(tag = "") env =
   apply_policy plan env;
   Sim.Env.set_injector env (injector plan ~tag)
 
-(** Disarm the assignment-site injector (the policy override, if any,
-    stays — reset it with {!Sim.Env.set_policy}). *)
-let disarm_env env = Sim.Env.clear_injector env
-
-(* --- stimulus corruption ------------------------------------------------ *)
-
-(** Wrap a source channel's producer under the plan: samples are
-    corrupted per the stimulus rates, and — when [starve_after] is set —
-    the stream dries up after that many samples.  [strict] starvation
-    raises {!Sim.Channel.Empty} (the crash path); the default degrades
-    to silence (0.0).  Raises [Invalid_argument] on a channel with no
-    producer. *)
-let wrap_channel plan ?(tag = "") ?(strict = false) ch =
-  match Sim.Channel.producer ch with
-  | None -> invalid_arg "Fault.Inject.wrap_channel: channel has no producer"
-  | Some f ->
-      let name = Sim.Channel.name ch in
-      let key = name ^ "/" ^ tag in
-      Sim.Channel.set_producer ch
-        (Some
-           (fun i ->
-             let starved =
-               match plan.Plan.starve_after with
-               | Some n -> i >= n && Plan.is_target plan name
-               | None -> false
-             in
-             if starved then
-               if strict then raise (Sim.Channel.Empty name) else 0.0
-             else
-               let v = f i in
-               match Plan.stimulus_fault plan ~tag ~channel:name ~index:i with
-               | None -> v
-               | Some `Nan -> Float.nan
-               | Some `Inf ->
-                   if Plan.draw plan ~stream:"stim-inf-sign" ~key ~index:i
-                      < 0.5
-                   then Float.infinity
-                   else Float.neg_infinity
-               | Some `Denormal ->
-                   (* a genuine IEEE denormal: half the smallest normal *)
-                   Float.min_float *. 0.5
-               | Some `Extreme ->
-                   if Plan.draw plan ~stream:"stim-extreme-sign" ~key ~index:i
-                      < 0.5
-                   then plan.Plan.extreme_mag
-                   else -.plan.Plan.extreme_mag))
-
 (* --- sweep workloads ---------------------------------------------------- *)
 
 (** Wrap a sweep workload so every candidate evaluation runs under the
@@ -178,8 +133,20 @@ let wrap_channel plan ?(tag = "") ?(strict = false) ch =
     stimulus seed — initialization replays (baseline restores, reset
     hooks) are injection-free, so the fault set of a candidate is a
     pure function of [(plan, candidate)] and never of which worker ran
-    what before it. *)
+    what before it.  Raises [Invalid_argument] naming the first plan
+    target that is not a signal of the workload — a misspelt target
+    would otherwise run a silently fault-free sweep. *)
 let workload plan (w : Sweep.Workload.t) =
+  (if plan.Plan.targets <> [] then
+     let env = (w.Sweep.Workload.make_instance ()).Sweep.Workload.env in
+     match
+       List.find_opt (fun s -> Sim.Env.find env s = None) plan.Plan.targets
+     with
+     | Some s ->
+         invalid_arg
+           (Printf.sprintf "Fault.Inject.workload: %S is not a signal of %s" s
+              w.Sweep.Workload.name)
+     | None -> ());
   {
     w with
     Sweep.Workload.make_instance =

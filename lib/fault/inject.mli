@@ -1,5 +1,5 @@
-(** Executing a {!Plan}: arming environments, channels and sweep
-    workloads with deterministic fault injection.
+(** Executing a {!Plan}: arming environments and sweep workloads
+    with deterministic assignment-site fault injection.
 
     Every injected fault emits an [on_fault] sink event (kinds
     ["bitflip"], ["force-overflow"]; plus ["collect"] from the
@@ -22,22 +22,12 @@ val injector : Plan.t -> tag:string -> Sim.Env.entry -> float -> float
     install the assignment-site injector ([tag] defaults to ""). *)
 val arm_env : Plan.t -> ?tag:string -> Sim.Env.t -> unit
 
-(** Disarm the assignment-site injector (the policy override, if any,
-    stays — reset it with {!Sim.Env.set_policy}). *)
-val disarm_env : Sim.Env.t -> unit
-
-(** Wrap a source channel's producer under the plan: samples are
-    corrupted per the stimulus rates and — when [starve_after] is set —
-    the stream dries up after that many samples.  [strict] starvation
-    raises {!Sim.Channel.Empty} (the crash path); the default degrades
-    to silence (0.0).  Raises [Invalid_argument] on a channel with no
-    producer. *)
-val wrap_channel : Plan.t -> ?tag:string -> ?strict:bool -> Sim.Channel.t -> unit
-
 (** Wrap a sweep workload so every candidate evaluation runs under the
     plan.  The policy override is baked into each instance's baseline
     snapshot, and the injector is armed only around [design.run],
     keyed by the candidate's stimulus seed — so the fault set of a
     candidate is a pure function of [(plan, candidate)] and the sweep
-    report stays byte-identical for any [--jobs]. *)
+    report stays byte-identical for any [--jobs].  Raises
+    [Invalid_argument] naming the first plan target that is not a
+    signal of the workload. *)
 val workload : Plan.t -> Sweep.Workload.t -> Sweep.Workload.t

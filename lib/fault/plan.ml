@@ -1,13 +1,14 @@
 (** Seeded, deterministic fault schedules.
 
-    A plan is a pure description: which fault classes to inject, at
-    which rates, into which signals.  Whether a particular fault fires
-    is a {e pure hash} of [(plan seed, stream tag, key, index)] — never
-    the state of an RNG that other code advances — so the schedule is
-    independent of evaluation order, worker count, and scheduling.  The
-    same [(seed, plan)] replays the identical fault set anywhere, which
-    is what lets the oracle's fault gate compare runs byte-for-byte and
-    a sweep quarantine the {e same} candidates at any [--jobs].
+    A plan is a pure description: which assignment-site fault classes
+    to inject, at which rates, into which signals.  Whether a
+    particular fault fires is a {e pure hash} of [(plan seed, stream
+    tag, key, index)] — never the state of an RNG that other code
+    advances — so the schedule is independent of evaluation order,
+    worker count, and scheduling.  The same [(seed, plan)] replays the
+    identical fault set anywhere, which is what lets the oracle's fault
+    gate compare runs byte-for-byte and a sweep quarantine the {e same}
+    candidates at any [--jobs].
 
     The hash is the SplitMix64 finalizer over an FNV-1a digest of the
     stream/key strings — the same mixer as {!Stats.Rng}, reused as a
@@ -24,52 +25,23 @@ type policy_override =
 
 type t = {
   seed : int;  (** schedule seed — everything replays from it *)
-  nan_rate : float;  (** stimulus sample → NaN *)
-  inf_rate : float;  (** stimulus sample → ±∞ *)
-  denormal_rate : float;  (** stimulus sample → an IEEE denormal *)
-  extreme_rate : float;  (** stimulus sample → ±[extreme_mag] *)
-  extreme_mag : float;  (** magnitude of an extreme sample *)
   bitflip_rate : float;  (** post-quantization SEU per assignment *)
   force_overflow_rate : float;  (** forced overflow event per assignment *)
-  starve_after : int option;  (** channel produces only this many samples *)
   targets : string list;  (** signal names to inject into; [] = all *)
   on_overflow : policy_override;
 }
 
-let make ?(seed = 0) ?(nan_rate = 0.0) ?(inf_rate = 0.0)
-    ?(denormal_rate = 0.0) ?(extreme_rate = 0.0) ?(extreme_mag = 1e30)
-    ?(bitflip_rate = 0.0) ?(force_overflow_rate = 0.0) ?starve_after
+let make ?(seed = 0) ?(bitflip_rate = 0.0) ?(force_overflow_rate = 0.0)
     ?(targets = []) ?(on_overflow = Keep) () =
   let check_rate what r =
     if Float.is_nan r || r < 0.0 || r > 1.0 then
       invalid_arg (Printf.sprintf "Fault.Plan.make: %s not in [0, 1]" what)
   in
-  check_rate "nan_rate" nan_rate;
-  check_rate "inf_rate" inf_rate;
-  check_rate "denormal_rate" denormal_rate;
-  check_rate "extreme_rate" extreme_rate;
   check_rate "bitflip_rate" bitflip_rate;
   check_rate "force_overflow_rate" force_overflow_rate;
-  if not (Float.is_finite extreme_mag) || extreme_mag <= 0.0 then
-    invalid_arg "Fault.Plan.make: extreme_mag must be finite positive";
-  (match starve_after with
-  | Some n when n < 0 -> invalid_arg "Fault.Plan.make: starve_after < 0"
-  | _ -> ());
-  {
-    seed;
-    nan_rate;
-    inf_rate;
-    denormal_rate;
-    extreme_rate;
-    extreme_mag;
-    bitflip_rate;
-    force_overflow_rate;
-    starve_after;
-    targets;
-    on_overflow;
-  }
+  { seed; bitflip_rate; force_overflow_rate; targets; on_overflow }
 
-(** A plan that injects nothing (rates 0, no starvation, [Keep]). *)
+(** A plan that injects nothing (rates 0, [Keep]). *)
 let none = make ()
 
 let is_target t name = t.targets = [] || List.mem name t.targets
@@ -115,10 +87,6 @@ let fires t ~stream ~key ~index ~rate =
 
 (* Stream tags: one per fault class, so the classes are independent
    coin flips even at the same (key, index). *)
-let stream_nan = "stim-nan"
-let stream_inf = "stim-inf"
-let stream_denormal = "stim-denormal"
-let stream_extreme = "stim-extreme"
 let stream_bitflip = "bitflip"
 let stream_force_overflow = "force-overflow"
 
@@ -138,22 +106,6 @@ let assign_faults t ~tag ~signal ~time =
     then acc := "bitflip" :: !acc;
     !acc
   end
-
-(** The stimulus fault class (if any) for sample [index] of channel
-    [key]: first match in the order NaN, ∞, denormal, extreme. *)
-let stimulus_fault t ~tag ~channel ~index =
-  if not (is_target t channel) then None
-  else
-    let key = channel ^ "\x00" ^ tag in
-    if fires t ~stream:stream_nan ~key ~index ~rate:t.nan_rate then
-      Some `Nan
-    else if fires t ~stream:stream_inf ~key ~index ~rate:t.inf_rate then
-      Some `Inf
-    else if fires t ~stream:stream_denormal ~key ~index ~rate:t.denormal_rate
-    then Some `Denormal
-    else if fires t ~stream:stream_extreme ~key ~index ~rate:t.extreme_rate
-    then Some `Extreme
-    else None
 
 (** Render the assignment-site schedule over an explicit grid —
     [(time, signal, kind)] in (time, signal, kind) order.  This is the
@@ -188,21 +140,12 @@ let policy_override_of_string = function
     round-trip through {!of_json}. *)
 let to_json t =
   Printf.sprintf
-    "{\"seed\": %d, \"nan_rate\": %s, \"inf_rate\": %s, \"denormal_rate\": \
-     %s, \"extreme_rate\": %s, \"extreme_mag\": %s, \"bitflip_rate\": %s, \
-     \"force_overflow_rate\": %s, \"starve_after\": %s, \"targets\": [%s], \
-     \"on_overflow\": %s}"
+    "{\"seed\": %d, \"bitflip_rate\": %s, \"force_overflow_rate\": %s, \
+     \"targets\": [%s], \"on_overflow\": %s}"
     t.seed
-    (Trace.Json.float_lit t.nan_rate)
-    (Trace.Json.float_lit t.inf_rate)
-    (Trace.Json.float_lit t.denormal_rate)
-    (Trace.Json.float_lit t.extreme_rate)
-    (Trace.Json.float_lit t.extreme_mag)
     (Trace.Json.float_lit t.bitflip_rate)
     (Trace.Json.float_lit t.force_overflow_rate)
-    (match t.starve_after with Some n -> string_of_int n | None -> "null")
-    (String.concat ", "
-       (List.map Trace.Json.string_lit t.targets))
+    (String.concat ", " (List.map Trace.Json.string_lit t.targets))
     (Trace.Json.string_lit (policy_override_to_string t.on_overflow))
 
 exception Parse of string
@@ -227,17 +170,8 @@ let of_json s =
   let field p (k, (v : Trace.Json.value)) =
     match k with
     | "seed" -> { p with seed = inum k v }
-    | "nan_rate" -> { p with nan_rate = num k v }
-    | "inf_rate" -> { p with inf_rate = num k v }
-    | "denormal_rate" -> { p with denormal_rate = num k v }
-    | "extreme_rate" -> { p with extreme_rate = num k v }
-    | "extreme_mag" -> { p with extreme_mag = num k v }
     | "bitflip_rate" -> { p with bitflip_rate = num k v }
     | "force_overflow_rate" -> { p with force_overflow_rate = num k v }
-    | "starve_after" -> (
-        match v with
-        | Null -> { p with starve_after = None }
-        | v -> { p with starve_after = Some (inum k v) })
     | "targets" -> (
         match v with
         | Strings vs -> { p with targets = vs }
@@ -260,11 +194,9 @@ let of_json s =
       | Error msg -> raise (Parse msg)
     in
     let q = List.fold_left field none fields in
-    make ~seed:q.seed ~nan_rate:q.nan_rate ~inf_rate:q.inf_rate
-      ~denormal_rate:q.denormal_rate ~extreme_rate:q.extreme_rate
-      ~extreme_mag:q.extreme_mag ~bitflip_rate:q.bitflip_rate
-      ~force_overflow_rate:q.force_overflow_rate ?starve_after:q.starve_after
-      ~targets:q.targets ~on_overflow:q.on_overflow ()
+    make ~seed:q.seed ~bitflip_rate:q.bitflip_rate
+      ~force_overflow_rate:q.force_overflow_rate ~targets:q.targets
+      ~on_overflow:q.on_overflow ()
   with
   | p -> Ok p
   | exception Parse msg -> Error ("Fault.Plan.of_json: " ^ msg)
@@ -275,15 +207,8 @@ let pp ppf t =
     if r > 0.0 then Format.fprintf ppf "%s %g; " name r
   in
   Format.fprintf ppf "plan(seed %d; " t.seed;
-  rate "nan" t.nan_rate;
-  rate "inf" t.inf_rate;
-  rate "denormal" t.denormal_rate;
-  rate "extreme" t.extreme_rate;
   rate "bitflip" t.bitflip_rate;
   rate "force-overflow" t.force_overflow_rate;
-  (match t.starve_after with
-  | Some n -> Format.fprintf ppf "starve after %d; " n
-  | None -> ());
   (match t.targets with
   | [] -> ()
   | ts -> Format.fprintf ppf "targets %s; " (String.concat "," ts));

@@ -1,11 +1,11 @@
 (** Seeded, deterministic fault schedules.
 
-    A plan describes which fault classes to inject, at which rates,
-    into which signals.  Whether a particular fault fires is a {e pure
-    hash} of [(plan seed, stream tag, key, index)] — not the state of
-    an advancing RNG — so the schedule is independent of evaluation
-    order, worker count and scheduling: the same [(seed, plan)] replays
-    the identical fault set anywhere.  That property is what lets the
+    A plan describes which assignment-site fault classes to inject, at
+    which rates, into which signals.  Whether a particular fault fires
+    is a {e pure hash} of [(plan seed, stream tag, key, index)] — not
+    the state of an advancing RNG — so the schedule is independent of
+    evaluation order, worker count and scheduling: the same
+    [(seed, plan)] replays the identical fault set anywhere.  That property is what lets the
     sweep quarantine the same candidates at any [--jobs] and the
     oracle's fault gate compare whole runs byte-for-byte. *)
 
@@ -20,32 +20,18 @@ type policy_override =
 
 type t = {
   seed : int;  (** schedule seed — everything replays from it *)
-  nan_rate : float;  (** stimulus sample → NaN *)
-  inf_rate : float;  (** stimulus sample → ±∞ *)
-  denormal_rate : float;  (** stimulus sample → an IEEE denormal *)
-  extreme_rate : float;  (** stimulus sample → ±[extreme_mag] *)
-  extreme_mag : float;  (** magnitude of an extreme sample *)
   bitflip_rate : float;  (** post-quantization SEU per assignment *)
   force_overflow_rate : float;  (** forced overflow event per assignment *)
-  starve_after : int option;  (** channel produces only this many samples *)
   targets : string list;  (** signal names to inject into; [] = all *)
   on_overflow : policy_override;
 }
 
 (** Build a plan; every rate defaults to 0 (inject nothing).  Rates
-    must lie in [[0, 1]]; [extreme_mag] (default 1e30) must be finite
-    positive; [starve_after] must be non-negative.  Raises
-    [Invalid_argument] otherwise. *)
+    must lie in [[0, 1]]; raises [Invalid_argument] otherwise. *)
 val make :
   ?seed:int ->
-  ?nan_rate:float ->
-  ?inf_rate:float ->
-  ?denormal_rate:float ->
-  ?extreme_rate:float ->
-  ?extreme_mag:float ->
   ?bitflip_rate:float ->
   ?force_overflow_rate:float ->
-  ?starve_after:int ->
   ?targets:string list ->
   ?on_overflow:policy_override ->
   unit ->
@@ -71,15 +57,6 @@ val fires : t -> stream:string -> key:string -> index:int -> rate:float -> bool
     "" standalone).  Kinds are the stable [on_fault] vocabulary:
     ["bitflip"], ["force-overflow"]. *)
 val assign_faults : t -> tag:string -> signal:string -> time:int -> string list
-
-(** The stimulus fault class (if any) for sample [index] of channel
-    [channel]; first match in the order NaN, ∞, denormal, extreme. *)
-val stimulus_fault :
-  t ->
-  tag:string ->
-  channel:string ->
-  index:int ->
-  [ `Nan | `Inf | `Denormal | `Extreme ] option
 
 (** Render the assignment-site schedule over an explicit
     [signals × cycles] grid as [(time, signal, kind)] triples — the

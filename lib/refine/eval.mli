@@ -88,7 +88,7 @@ type compiled_eval = {
 type cache = {
   context : string;
       (** caller-pinned disambiguator folded into every key: evaluator
-          version, fault plan, … — bump it to invalidate en masse *)
+          version, … — bump it to invalidate en masse *)
   lookup : string -> metrics option;
       (** [lookup key] — the previously inserted metrics, if any *)
   insert : string -> metrics -> unit;

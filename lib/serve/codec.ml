@@ -13,14 +13,11 @@ let evaluator_version = "fxeval/1"
 let encode = Refine.Eval.encode_metrics
 let decode = Refine.Eval.decode_metrics
 
-let context ?plan () =
-  match plan with
-  | None -> evaluator_version
-  | Some p -> evaluator_version ^ "+fault:" ^ Fault.Plan.to_json p
+let context () = evaluator_version
 
-let eval_cache ?plan cache =
+let eval_cache cache =
   {
-    Refine.Eval.context = context ?plan ();
+    Refine.Eval.context = context ();
     lookup = (fun key -> Option.bind (Cache.lookup cache key) decode);
     insert =
       (fun key m ->

@@ -17,14 +17,14 @@ val encode : Refine.Eval.metrics -> string
 (** {!Refine.Eval.decode_metrics}: [None] (a miss) on any deviation. *)
 val decode : string -> Refine.Eval.metrics option
 
-(** The key context for an evaluation under [?plan] fault injection
-    (canonical plan JSON appended to {!evaluator_version}); plain
-    {!evaluator_version} without. *)
-val context : ?plan:Fault.Plan.t -> unit -> string
+(** The key context of an evaluation: {!evaluator_version}.  Faulted
+    sweeps never take the compiled or cached path, so no fault plan
+    enters a key. *)
+val context : unit -> string
 
-(** [eval_cache ?plan cache] — bind [cache] into the hook
+(** [eval_cache cache] — bind [cache] into the hook
     {!Refine.Eval.evaluate_compiled} and {!Sweep.Pool.run} accept:
     lookups decode, inserts encode, and the context pins
-    {!evaluator_version} (and the fault plan, when sweeping under
-    injection) into every key.  Domain-safe, like {!Cache} itself. *)
-val eval_cache : ?plan:Fault.Plan.t -> Cache.t -> Refine.Eval.cache
+    {!evaluator_version} into every key.  Domain-safe, like {!Cache}
+    itself. *)
+val eval_cache : Cache.t -> Refine.Eval.cache

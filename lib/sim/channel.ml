@@ -9,7 +9,7 @@
 type t = {
   name : string;
   queue : float Queue.t;
-  mutable producer : (int -> float) option;
+  producer : (int -> float) option;  (** set only by [of_fun] *)
   mutable produced : int;  (** samples pulled from the producer *)
   mutable history : float list;  (** reversed log of every [put] *)
   mutable record : bool;
@@ -21,10 +21,7 @@ let create ?(record = false) name =
 
 (** [of_fun name f] — a source channel: [get] returns [f 0], [f 1], …
     Deterministic stimulus generators plug in here. *)
-let of_fun name f =
-  let t = create name in
-  t.producer <- Some f;
-  t
+let of_fun name f = { (create name) with producer = Some f }
 
 let name t = t.name
 
@@ -38,13 +35,6 @@ let () =
              "Sim.Channel.Empty: channel %S read while empty and unbacked"
              name)
     | _ -> None)
-
-(** The backing generator of a source channel, if any. *)
-let producer t = t.producer
-
-(** Replace (or install) the backing generator.  The fault layer wraps
-    the original producer through this to corrupt or starve stimuli. *)
-let set_producer t f = t.producer <- f
 
 (** [get t] — consume the next sample; pulls from the producer if the
     FIFO is empty.  Raises [Empty] on an unproduced, unbacked channel. *)

@@ -1,6 +1,8 @@
 (** Communication channels — the paper's [get]/[put] primitives: FIFOs
     of samples between processors, optionally backed by a stimulus
-    generator (source) or recording every write (sink). *)
+    generator (source) or recording every write (sink).  A channel
+    delivers its stimulus unaltered: faults strike at the assignment
+    site instead (see {!Fault.Inject}). *)
 
 type t
 
@@ -11,16 +13,9 @@ exception Empty of string
 (** [record:true] keeps every consumed sample for scoring. *)
 val create : ?record:bool -> string -> t
 
-(** Source channel: [get] returns [f 0], [f 1], … *)
+(** Source channel: [get] returns [f 0], [f 1], … — the generator is
+    fixed for the channel's lifetime. *)
 val of_fun : string -> (int -> float) -> t
-
-(** The backing generator of a source channel, if any. *)
-val producer : t -> (int -> float) option
-
-(** Replace (or install) the backing generator.  The fault layer wraps
-    the original producer through this to corrupt or starve stimuli
-    (see {!Fault.Inject}). *)
-val set_producer : t -> (int -> float) option -> unit
 
 (** The channel's declared name. *)
 val name : t -> string

@@ -36,9 +36,9 @@ type t
 (** [sweep_key ~workload ~strategy ~context params] — stable hex digest
     identifying a sweep configuration; used as the journal subdirectory
     name so unrelated sweeps sharing one [--checkpoint] directory never
-    collide.  [context] should name the evaluator version (and fault
-    plan, if any); [params] is an ordered association list of the
-    remaining knobs (f range, seeds, budget, …). *)
+    collide.  [context] should name the evaluator version; [params] is
+    an ordered association list of the remaining knobs (f range, seeds,
+    budget, …). *)
 val sweep_key :
   workload:string ->
   strategy:string ->

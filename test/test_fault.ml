@@ -1,9 +1,9 @@
 (* Unit tests: the fault-injection layer — plan validation, pure-hash
    schedule replay, plan JSON round-trips, SEU bitflip validity,
-   stimulus corruption/starvation, collect-policy degradation, monitor
-   poison-resistance, widening caps, and the sweep quarantine's
-   scheduling-independence contract (jobs=1 and jobs=2 must render
-   byte-identical partial reports). *)
+   collect-policy degradation, monitor poison-resistance, widening
+   caps, target validation, every plan knob reaching the sweep report,
+   and the sweep quarantine's scheduling-independence contract (jobs=1
+   and jobs=2 must render byte-identical partial reports). *)
 
 open Fixrefine
 
@@ -12,20 +12,24 @@ let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 let float_t eps = Alcotest.float eps
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 (* --- Plan validation ----------------------------------------------------- *)
 
 let test_plan_validation () =
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
   check bool_t "rate > 1 rejected" true
-    (bad (fun () -> Fault.Plan.make ~nan_rate:1.5 ()));
+    (bad (fun () -> Fault.Plan.make ~bitflip_rate:1.5 ()));
   check bool_t "negative rate rejected" true
     (bad (fun () -> Fault.Plan.make ~bitflip_rate:(-0.1) ()));
-  check bool_t "nan extreme_mag rejected" true
-    (bad (fun () -> Fault.Plan.make ~extreme_mag:Float.nan ()));
-  check bool_t "negative starve_after rejected" true
-    (bad (fun () -> Fault.Plan.make ~starve_after:(-1) ()));
+  check bool_t "nan rate rejected" true
+    (bad (fun () -> Fault.Plan.make ~force_overflow_rate:Float.nan ()));
   check bool_t "boundary rates accepted" true
-    (ignore (Fault.Plan.make ~nan_rate:0.0 ~inf_rate:1.0 ()); true)
+    (ignore (Fault.Plan.make ~bitflip_rate:0.0 ~force_overflow_rate:1.0 ());
+     true)
 
 let test_plan_targets () =
   let p = Fault.Plan.make ~targets:[ "x"; "acc" ] () in
@@ -76,9 +80,7 @@ let prop_fires_rate_edges =
 
 let test_plan_json_roundtrip () =
   let p =
-    Fault.Plan.make ~seed:99 ~nan_rate:0.01 ~inf_rate:0.02 ~denormal_rate:0.03
-      ~extreme_rate:0.04 ~extreme_mag:1e6 ~bitflip_rate:0.05
-      ~force_overflow_rate:0.06 ~starve_after:100
+    Fault.Plan.make ~seed:99 ~bitflip_rate:0.05 ~force_overflow_rate:0.06
       ~targets:[ "x"; "v[3]"; "caf\xc3\xa9"; "a\001b" ]
       ~on_overflow:Fault.Plan.Force_collect ()
   in
@@ -92,9 +94,16 @@ let test_plan_json_errors () =
   in
   check bool_t "garbage rejected" true (bad "not json");
   check bool_t "unknown key rejected" true (bad "{\"sneed\": 1}");
-  check bool_t "out-of-range rate rejected" true (bad "{\"nan_rate\": 2.0}");
+  check bool_t "out-of-range rate rejected" true
+    (bad "{\"bitflip_rate\": 2.0}");
   check bool_t "empty object is the default plan" true
-    (Fault.Plan.of_json "{}" = Ok (Fault.Plan.make ()))
+    (Fault.Plan.of_json "{}" = Ok (Fault.Plan.make ()));
+  (* a plan names only faults the injector can deliver: a stimulus
+     fault key fails loudly instead of running a fault-free sweep *)
+  check bool_t "stimulus fault key is an unknown key" true
+    (match Fault.Plan.of_json "{\"nan_rate\": 0.5}" with
+    | Ok _ -> false
+    | Error e -> contains e "unknown key \"nan_rate\"")
 
 (* Targets are arbitrary byte strings — control bytes, quotes,
    backslashes, bytes >= 0x80 (e.g. "café" in UTF-8) — so the JSON
@@ -103,12 +112,12 @@ let prop_plan_json_roundtrip =
   QCheck2.Test.make ~name:"plan JSON round-trips for any rates" ~count:200
     QCheck2.Gen.(
       pair
-        (quad (int_range 0 10000) (float_range 0.0 1.0) (float_range 0.0 1.0)
-           (float_range 1.0 1e20))
+        (triple (int_range 0 10000) (float_range 0.0 1.0)
+           (float_range 0.0 1.0))
         (list_size (int_range 0 3) (string_size (int_range 0 8))))
-    (fun ((seed, r1, r2, mag), targets) ->
+    (fun ((seed, r1, r2), targets) ->
       let p =
-        Fault.Plan.make ~seed ~nan_rate:r1 ~bitflip_rate:r2 ~extreme_mag:mag
+        Fault.Plan.make ~seed ~bitflip_rate:r1 ~force_overflow_rate:r2
           ~targets ~on_overflow:Fault.Plan.Force_raise ()
       in
       Fault.Plan.of_json (Fault.Plan.to_json p) = Ok p)
@@ -144,59 +153,6 @@ let test_bitflip_changes_value () =
   check bool_t "bit out of range rejected" true
     (try
        ignore (Fault.Inject.flip_bit seu_dt ~bit:8 0.0);
-       false
-     with Invalid_argument _ -> true)
-
-(* --- stimulus corruption / starvation ------------------------------------ *)
-
-let test_channel_starvation_degrade () =
-  let plan = Fault.Plan.make ~starve_after:5 () in
-  let ch = Sim.Channel.of_fun "x" (fun i -> float_of_int (i + 1)) in
-  Fault.Inject.wrap_channel plan ch;
-  let samples = List.init 8 (fun _ -> Sim.Channel.get ch) in
-  check bool_t "first five flow through" true
-    (List.filteri (fun i _ -> i < 5) samples = [ 1.0; 2.0; 3.0; 4.0; 5.0 ]);
-  check bool_t "starved reads degrade to silence" true
-    (List.filteri (fun i _ -> i >= 5) samples = [ 0.0; 0.0; 0.0 ])
-
-let test_channel_starvation_strict () =
-  let plan = Fault.Plan.make ~starve_after:2 () in
-  let ch = Sim.Channel.of_fun "x" (fun i -> float_of_int i) in
-  Fault.Inject.wrap_channel plan ~strict:true ch;
-  ignore (Sim.Channel.get ch);
-  ignore (Sim.Channel.get ch);
-  check bool_t "strict starvation raises Empty" true
-    (try
-       ignore (Sim.Channel.get ch);
-       false
-     with Sim.Channel.Empty "x" -> true)
-
-let test_channel_nan_corruption () =
-  let plan = Fault.Plan.make ~nan_rate:1.0 () in
-  let ch = Sim.Channel.of_fun "x" (fun _ -> 0.25) in
-  Fault.Inject.wrap_channel plan ch;
-  check bool_t "rate-1 NaN corrupts every sample" true
-    (List.init 16 (fun _ -> Sim.Channel.get ch)
-    |> List.for_all Float.is_nan)
-
-let test_channel_corruption_deterministic () =
-  let mk () =
-    let plan =
-      Fault.Plan.make ~seed:3 ~extreme_rate:0.5 ~extreme_mag:1e9 ()
-    in
-    let ch = Sim.Channel.of_fun "x" (fun i -> float_of_int i) in
-    Fault.Inject.wrap_channel plan ch;
-    List.init 64 (fun _ -> Sim.Channel.get ch)
-  in
-  check bool_t "same plan, same corrupted stream" true (mk () = mk ());
-  check bool_t "some samples corrupted" true
-    (List.exists (fun v -> Float.abs v >= 1e9) (mk ()))
-
-let test_wrap_channel_requires_producer () =
-  let ch = Sim.Channel.create "plain" in
-  check bool_t "unbacked channel rejected" true
-    (try
-       Fault.Inject.wrap_channel (Fault.Plan.make ()) ch;
        false
      with Invalid_argument _ -> true)
 
@@ -304,11 +260,12 @@ let test_collect_policy_degrades () =
 
 (* --- faulted sweep: partial but deterministic ---------------------------- *)
 
-let faulted_sweep ~jobs =
-  let plan =
-    Fault.Plan.make ~seed:42 ~bitflip_rate:0.002 ~force_overflow_rate:0.0001
-      ~on_overflow:Fault.Plan.Force_raise ()
-  in
+let quarantine_plan =
+  lazy
+    (Fault.Plan.make ~seed:42 ~bitflip_rate:0.002 ~force_overflow_rate:0.0001
+       ~on_overflow:Fault.Plan.Force_raise ())
+
+let faulted_sweep ?(plan = Lazy.force quarantine_plan) ~jobs () =
   let workload = Fault.Inject.workload plan (Sweep.Workload.fir ~n:128 ()) in
   let specs = workload.Sweep.Workload.specs in
   let generator =
@@ -317,8 +274,8 @@ let faulted_sweep ~jobs =
   Sweep.Pool.run ~jobs ~workload ~generator ()
 
 let test_faulted_sweep_jobs_deterministic () =
-  let sequential = faulted_sweep ~jobs:1 in
-  let parallel = faulted_sweep ~jobs:2 in
+  let sequential = faulted_sweep ~jobs:1 () in
+  let parallel = faulted_sweep ~jobs:2 () in
   check bool_t "quarantine nonempty" true
     (sequential.Sweep.Report.failures <> []);
   check bool_t "still evaluates the healthy candidates" true
@@ -330,6 +287,48 @@ let test_faulted_sweep_jobs_deterministic () =
   check Alcotest.string "partial reports byte-identical at jobs 1 vs 2"
     (Sweep.Report.to_json sequential)
     (Sweep.Report.to_json parallel)
+
+(* --- plan targets name workload signals ------------------------------------ *)
+
+let test_unknown_target_rejected () =
+  let fir = Sweep.Workload.fir ~n:128 () in
+  let wrap targets =
+    Fault.Inject.workload
+      (Fault.Plan.make ~bitflip_rate:0.01 ~targets ())
+      fir
+  in
+  ignore (wrap [ "x"; "out" ]);
+  match wrap [ "out"; "nosuch"; "other" ] with
+  | _ -> Alcotest.fail "unknown target accepted"
+  | exception Invalid_argument m ->
+      check bool_t "error names the first unknown signal" true
+        (contains m "\"nosuch\"")
+
+(* --- every plan knob reaches the report ---------------------------------- *)
+
+(* A plan field that no injection path reads is a silently fault-free
+   experiment.  Each knob must move the FIR sweep report away from the
+   knob-free plan with the same seed. *)
+let test_every_knob_reaches_report () =
+  let report plan = faulted_sweep ~plan ~jobs:1 () in
+  let json plan = Sweep.Report.to_json (report plan) in
+  let base = json (Fault.Plan.make ~seed:42 ()) in
+  check bool_t "bitflip_rate changes the report" true
+    (json (Fault.Plan.make ~seed:42 ~bitflip_rate:0.01 ()) <> base);
+  let raised =
+    report
+      (Fault.Plan.make ~seed:42 ~force_overflow_rate:0.001
+         ~on_overflow:Fault.Plan.Force_raise ())
+  in
+  check bool_t "force_overflow_rate under raise quarantines" true
+    (raised.Sweep.Report.failures <> []);
+  check bool_t "force_overflow_rate changes the report" true
+    (Sweep.Report.to_json raised <> base);
+  let targeted t =
+    json (Fault.Plan.make ~seed:42 ~bitflip_rate:0.01 ~targets:[ t ] ())
+  in
+  check bool_t "targets select the faulted signal" true
+    (targeted "x" <> targeted "out")
 
 let suite =
   ( "fault",
@@ -346,15 +345,6 @@ let suite =
       Test_support.Qseed.to_alcotest prop_bitflip_involution;
       Alcotest.test_case "bitflip changes value" `Quick
         test_bitflip_changes_value;
-      Alcotest.test_case "starvation degrades" `Quick
-        test_channel_starvation_degrade;
-      Alcotest.test_case "starvation strict" `Quick
-        test_channel_starvation_strict;
-      Alcotest.test_case "NaN corruption" `Quick test_channel_nan_corruption;
-      Alcotest.test_case "corruption deterministic" `Quick
-        test_channel_corruption_deterministic;
-      Alcotest.test_case "wrap needs producer" `Quick
-        test_wrap_channel_requires_producer;
       Test_support.Qseed.to_alcotest prop_running_ignores_poison;
       Test_support.Qseed.to_alcotest prop_sqnr_ignores_poison;
       Alcotest.test_case "widen_within caps" `Quick test_widen_within;
@@ -364,4 +354,8 @@ let suite =
         test_collect_policy_degrades;
       Alcotest.test_case "faulted sweep determinism" `Quick
         test_faulted_sweep_jobs_deterministic;
+      Alcotest.test_case "unknown target rejected" `Quick
+        test_unknown_target_rejected;
+      Alcotest.test_case "every plan knob reaches the report" `Quick
+        test_every_knob_reaches_report;
     ] )
