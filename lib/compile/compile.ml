@@ -402,7 +402,7 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
         let x = Array.unsafe_get fx (oa + l) in
         let c = Array.unsafe_get qs l in
         (* the in-range int64 case of [Fixpt.Quantize.exec_into], inlined
-           (a cross-module call boxes its float argument and result);
+           (a cross-module call boxes its float argument);
            everything else — overflow, NaN, infinities, wide formats —
            takes [exec_into] itself *)
         let scaled = x /. c.Fixpt.Quantize.step in
@@ -420,7 +420,8 @@ let exec_fx t ~(inject : inject option) ~step feeds ins =
           Array.unsafe_set fx (o + l)
             (Int64.to_float (Int64.of_float r) *. c.Fixpt.Quantize.step)
         else begin
-          Array.unsafe_set fx (o + l) (Fixpt.Quantize.exec_into c x s);
+          Fixpt.Quantize.exec_into c x s;
+          Array.unsafe_set fx (o + l) s.Fixpt.Quantize.value;
           if s.Fixpt.Quantize.flag <> 0.0 then
             Array.unsafe_set ovf l (Array.unsafe_get ovf l + 1)
         end

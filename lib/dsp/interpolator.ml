@@ -73,6 +73,12 @@ let shift t (input : Sim.Value.t) =
     Sim.Sig_array.get t.taps i <-- !!(Sim.Sig_array.get t.taps (i - 1))
   done
 
+(* The Farrow constants, built once: a [cst] per sample would allocate
+   a value each time.  Each use still records its own [Const] node. *)
+let c2 = Sim.Ops.cst 2.0
+let c3 = Sim.Ops.cst 3.0
+let c6 = Sim.Ops.cst 6.0
+
 (** Evaluate the interpolant at [mu]; drives and returns [out]. *)
 let interpolate t (mu : Sim.Value.t) : Sim.Value.t =
   let open Sim.Ops in
@@ -80,17 +86,9 @@ let interpolate t (mu : Sim.Value.t) : Sim.Value.t =
   let a i = Sim.Sig_array.get t.a i in
   let h i = Sim.Sig_array.get t.h i in
   a 0 <-- x 2;
-  a 1
-  <-- x 1
-      -: (x 3 /: cst 3.0)
-      -: (x 2 /: cst 2.0)
-      -: (x 0 /: cst 6.0);
-  a 2 <-- (x 3 /: cst 2.0) -: x 2 +: (x 1 /: cst 2.0);
-  a 3
-  <-- (x 2 /: cst 2.0)
-      -: (x 3 /: cst 6.0)
-      -: (x 1 /: cst 2.0)
-      +: (x 0 /: cst 6.0);
+  a 1 <-- x 1 -: (x 3 /: c3) -: (x 2 /: c2) -: (x 0 /: c6);
+  a 2 <-- (x 3 /: c2) -: x 2 +: (x 1 /: c2);
+  a 3 <-- (x 2 /: c2) -: (x 3 /: c6) -: (x 1 /: c2) +: (x 0 /: c6);
   h 0 <-- (!!(a 3) *: mu) +: !!(a 2);
   h 1 <-- (!!(h 0) *: mu) +: !!(a 1);
   h 2 <-- (!!(h 1) *: mu) +: !!(a 0);
@@ -106,7 +104,7 @@ let differentiate t (mu : Sim.Value.t) : Sim.Value.t =
       let open Sim.Ops in
       let a i = Sim.Sig_array.get t.a i in
       let d i = Sim.Sig_array.get dh i in
-      d 0 <-- (cst 3.0 *: !!(a 3) *: mu) +: (cst 2.0 *: !!(a 2));
+      d 0 <-- (c3 *: !!(a 3) *: mu) +: (c2 *: !!(a 2));
       d 1 <-- (!!(d 0) *: mu) +: !!(a 1);
       dout <-- !!(d 1);
       !!dout

@@ -86,7 +86,7 @@ let step t =
      b ← b + μ·s·e (∂e/∂b = −s) *)
   t.b <-- !!(t.b) +: (cst t.mu *: !!(t.s) *: (!!(t.w) -: y));
   t.s <-- y;
-  Sim.Channel.put t.output (Sim.Value.fx y)
+  Sim.Channel.put t.output y.Sim.Value.fx
 
 (** Run [cycles] symbols through the equalizer. *)
 let run t ~cycles = Sim.Engine.run t.env ~cycles (fun _ -> step t)

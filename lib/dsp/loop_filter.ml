@@ -11,8 +11,8 @@
     evaluation reports as needing saturation mode. *)
 
 type t = {
-  kp : float;
-  ki : float;
+  kp : Sim.Value.t;  (** gains as design-time constants, built once *)
+  ki : Sim.Value.t;
   pterm : Sim.Signal.t;  (** Kp·err *)
   integ : Sim.Signal.t;  (** integrator state, registered *)
   out : Sim.Signal.t;  (** lferr *)
@@ -20,8 +20,8 @@ type t = {
 
 let create env ?(prefix = "lf_") ~kp ~ki () =
   {
-    kp;
-    ki;
+    kp = Sim.Ops.cst kp;
+    ki = Sim.Ops.cst ki;
     pterm = Sim.Signal.create env (prefix ^ "p");
     integ = Sim.Signal.create_reg env (prefix ^ "integ");
     out = Sim.Signal.create env (prefix ^ "lferr");
@@ -35,8 +35,8 @@ let signals t = [ t.pterm; t.integ; t.out ]
     [lferr]. *)
 let step t (err : Sim.Value.t) : Sim.Value.t =
   let open Sim.Ops in
-  let inc = cst t.ki *: err in
-  t.pterm <-- cst t.kp *: err;
+  let inc = t.ki *: err in
+  t.pterm <-- t.kp *: err;
   t.integ <-- !!(t.integ) +: inc;
   (* the register read sees the pre-update integral; add the fresh
      increment so lferr includes the current error sample *)

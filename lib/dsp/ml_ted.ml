@@ -49,9 +49,9 @@ let signals t = [ t.decision; t.err ]
     {!Gardner_ted} is. *)
 let detect t ~(y : Sim.Value.t) ~(ydot : Sim.Value.t) : Sim.Value.t =
   let open Sim.Ops in
-  let d = Slicer.decide_pam ~m:t.m (Sim.Value.fx y) in
-  t.decision <-- Sim.Value.with_range (cst d) (Interval.make (-1.0) 1.0);
-  t.err <-- cst 0.0 -: (!!(t.decision) *: ydot);
+  let d = Slicer.decide_pam ~m:t.m y.Sim.Value.fx in
+  t.decision <-- Sim.Value.with_range (cst d) Slicer.unit_range;
+  t.err <-- Sim.Value.zero -: (!!(t.decision) *: ydot);
   !!(t.err)
 
 (** Float reference for tests: [−decide_pam y · ydot]. *)

@@ -14,8 +14,11 @@
 
 type t = {
   w_nominal : float;  (** 1/sps: nominal phase decrement per sample *)
-  w_min : float;  (** control-word clamp (a real NCO bounds its rate) *)
-  w_max : float;
+  (* the design-time constants of {!step}, built once: a [cst] per
+     sample would allocate a value each time *)
+  nominal_v : Sim.Value.t;
+  w_min : Sim.Value.t;  (** control-word clamp (a real NCO bounds its rate) *)
+  w_max : Sim.Value.t;
   eta : Sim.Signal.t;  (** phase register, modulo-1, registered *)
   w : Sim.Signal.t;  (** control word W *)
   eta_next : Sim.Signal.t;  (** decremented phase before wrap *)
@@ -28,8 +31,9 @@ let create env ?(prefix = "nco_") ~sps () =
   let w_nominal = 1.0 /. Float.of_int sps in
   {
     w_nominal;
-    w_min = w_nominal /. 2.0;
-    w_max = 1.5 *. w_nominal;
+    nominal_v = Sim.Ops.cst w_nominal;
+    w_min = Sim.Ops.cst (w_nominal /. 2.0);
+    w_max = Sim.Ops.cst (1.5 *. w_nominal);
     eta = Sim.Signal.create_reg env (prefix ^ "eta");
     w = Sim.Signal.create env (prefix ^ "w");
     eta_next = Sim.Signal.create env (prefix ^ "eta_next");
@@ -53,18 +57,17 @@ let signals t = [ t.eta; t.w; t.eta_next; t.mu; t.strobe ]
     the same instants. *)
 let step t (lferr : Sim.Value.t) =
   let open Sim.Ops in
-  t.w
-  <-- max_ (cst t.w_min) (min_ (cst t.w_max) (cst t.w_nominal +: lferr));
+  t.w <-- max_ t.w_min (min_ t.w_max (t.nominal_v +: lferr));
   t.eta_next <-- !!(t.eta) -: !!(t.w);
-  let strobed = !!(t.eta_next) <: cst 0.0 in
+  let strobed = !!(t.eta_next) <: Sim.Value.zero in
   if strobed then begin
-    t.strobe <-- cst 1.0;
+    t.strobe <-- Sim.Value.one;
     (* mu = eta / W: position of the wrap instant inside the sample *)
     t.mu <-- !!(t.eta) /: !!(t.w);
-    t.eta <-- !!(t.eta_next) +: cst 1.0
+    t.eta <-- !!(t.eta_next) +: Sim.Value.one
   end
   else begin
-    t.strobe <-- cst 0.0;
+    t.strobe <-- Sim.Value.zero;
     t.eta <-- !!(t.eta_next)
   end;
   (strobed, !!(t.mu))

@@ -35,8 +35,11 @@ let decide_pam ~m v =
   let k = Float.max 0.0 (Float.min span k) in
   ((2.0 *. k) -. span) /. span
 
+(** The range every normalized decision lies in, [[-1, 1]]. *)
+let unit_range = Interval.make (-1.0) 1.0
+
 let step_pam t ~m (w : Sim.Value.t) : Sim.Value.t =
   let open Sim.Ops in
-  let decision = decide_pam ~m (Sim.Value.fx w) in
-  t.out <-- Sim.Value.with_range (cst decision) (Interval.make (-1.0) 1.0);
+  let decision = decide_pam ~m w.Sim.Value.fx in
+  t.out <-- Sim.Value.with_range (cst decision) unit_range;
   !!(t.out)

@@ -13,5 +13,8 @@ val step : t -> Sim.Value.t -> Sim.Value.t
 (** Nearest normalized PAM-M level of a fixed-point value. *)
 val decide_pam : m:int -> float -> float
 
+(** [[-1, 1]]: the range every normalized decision lies in. *)
+val unit_range : Interval.t
+
 (** Multi-level slicer on normalized levels [±1/(m−1) … ±1]. *)
 val step_pam : t -> m:int -> Sim.Value.t -> Sim.Value.t

@@ -151,14 +151,14 @@ let step t =
   if strobed then begin
     t.n_strobes <- t.n_strobes + 1;
     t.out <-- y;
-    Sim.Channel.put t.output (Sim.Value.fx !!(t.out));
+    Sim.Channel.put t.output !!(t.out).Sim.Value.fx;
     let err =
       match (t.gardner, t.mlted) with
       | Some g, _ ->
           (match t.decisions with
           | Some dc ->
               let d = Slicer.step_pam t.slicer ~m:t.m !!(t.out) in
-              Sim.Channel.put dc (Sim.Value.fx d)
+              Sim.Channel.put dc d.Sim.Value.fx
           | None -> ());
           Gardner_ted.detect g y
       | _, Some ml ->
@@ -166,7 +166,7 @@ let step t =
           let e = Ml_ted.detect ml ~y ~ydot in
           (match t.decisions with
           | Some dc ->
-              Sim.Channel.put dc (Sim.Value.fx !!(Ml_ted.decision ml))
+              Sim.Channel.put dc !!(Ml_ted.decision ml).Sim.Value.fx
           | None -> ());
           e
       | None, None -> assert false

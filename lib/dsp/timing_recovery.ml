@@ -88,7 +88,7 @@ let step t =
   if strobed then begin
     t.n_strobes <- t.n_strobes + 1;
     t.out <-- y;
-    Sim.Channel.put t.output (Sim.Value.fx !!(t.out));
+    Sim.Channel.put t.output !!(t.out).Sim.Value.fx;
     (* ted.mid (a register) still holds the previous sample's
        interpolant: Gardner's half-symbol sample *)
     let err = Gardner_ted.detect t.ted y in

@@ -150,27 +150,29 @@ let apply_float c rounded_scaled =
     in
     (code' *. c.step, Some event)
 
-(** Scratch cell for {!exec_into} results beyond the value itself.
-    All-float (flat representation), so the hot path stores into it
-    without boxing: [flag] is 0 for no overflow, positive for [`Above],
-    negative for [`Below]; [raw] and [rerr] are only meaningful right
-    after an [exec_into] call. *)
+(** Scratch cell for {!exec_into} results.  All-float (flat
+    representation), so the hot path stores into it without boxing:
+    [value] is the cast's result; [flag] is 0 for no overflow, positive
+    for [`Above], negative for [`Below]; [raw] and [rerr] are only
+    meaningful right after an [exec_into] call. *)
 type scratch = {
+  mutable value : float;  (** representable value of the last cast *)
   mutable flag : float;
   mutable raw : float;  (** pre-overflow value when [flag <> 0] *)
   mutable rerr : float;  (** rounding error of the last cast *)
 }
 
-let create_scratch () = { flag = 0.0; raw = 0.0; rerr = 0.0 }
+let create_scratch () = { value = 0.0; flag = 0.0; raw = 0.0; rerr = 0.0 }
 
 (** [exec_into c v s] — the per-assignment cast through a compiled
-    quantizer (the body allocates nothing; a cross-module call still
-    boxes [v] and the result): returns the representable value and
-    reports the overflow outcome through [s].  Must compute exactly what
+    quantizer (the body allocates nothing, and the result is stored, not
+    returned, so only a cross-module call's boxed [v] remains): writes
+    the representable value to [s.value] and reports the overflow
+    outcome through [s].  Must compute exactly what
     {!apply_int64}/{!apply_float} compute (the agreement is under test).
     NaN input raises [Invalid_argument]; infinities saturate (or wrap to
     an unspecified in-range code) and report an overflow event. *)
-let exec_into (c : compiled) v (s : scratch) : float =
+let exec_into (c : compiled) v (s : scratch) : unit =
   if Float.is_nan v then invalid_arg "Quantize.quantize: nan";
   let v_clamped =
     (* keep the scaled value finite for the float fallback *)
@@ -189,7 +191,7 @@ let exec_into (c : compiled) v (s : scratch) : float =
     and above = Int64.compare code c.hi > 0 in
     if not (below || above) then begin
       s.flag <- 0.0;
-      Int64.to_float code *. c.step
+      s.value <- Int64.to_float code *. c.step
     end
     else begin
       s.flag <- (if above then 1.0 else -1.0);
@@ -200,14 +202,14 @@ let exec_into (c : compiled) v (s : scratch) : float =
         | Overflow_mode.Wrap | Overflow_mode.Error ->
             wrap_code (Dtype.fmt c.cdt) code
       in
-      Int64.to_float code' *. c.step
+      s.value <- Int64.to_float code' *. c.step
     end
   end
   else begin
     let above = rounded > c.fhi and below = rounded < c.flo in
     if not (above || below) then begin
       s.flag <- 0.0;
-      rounded *. c.step
+      s.value <- rounded *. c.step
     end
     else begin
       s.flag <- (if above then 1.0 else -1.0);
@@ -221,21 +223,19 @@ let exec_into (c : compiled) v (s : scratch) : float =
             let off = if off < 0.0 then off +. span else off in
             c.flo +. Float.round off
       in
-      code' *. c.step
+      s.value <- code' *. c.step
     end
   end
 
-(* Module-private scratch for the one-shot API; simulation is
-   single-domain and [exec_into] never calls back out. *)
-let shared_scratch = create_scratch ()
-
 (** [exec c v] — boxed-outcome variant of {!exec_into} (one-shot
-    callers and places that want the full record). *)
+    callers and places that want the full record).  Each call casts
+    through its own scratch: one-shot callers run in parallel sweep
+    domains. *)
 let exec (c : compiled) v : outcome =
-  let s = shared_scratch in
-  let value = exec_into c v s in
+  let s = create_scratch () in
+  exec_into c v s;
   {
-    value;
+    value = s.value;
     rounding_error = s.rerr;
     overflow =
       (if s.flag = 0.0 then None

@@ -64,27 +64,29 @@ val of_dtype : Dtype.t -> compiled
 val dtype_of : compiled -> Dtype.t
 
 (** Scratch cell for {!exec_into}: all-float (flat representation) so
-    the hot path stores results without boxing.  [flag] is 0 for no
-    overflow, positive for [`Above], negative for [`Below]; [raw] (the
-    pre-overflow value) and [rerr] (the rounding error) are meaningful
-    right after an [exec_into] call. *)
+    the hot path stores results without boxing.  [value] is the
+    representable value; [flag] is 0 for no overflow, positive for
+    [`Above], negative for [`Below]; [raw] (the pre-overflow value) and
+    [rerr] (the rounding error) are meaningful right after an
+    [exec_into] call. *)
 type scratch = {
+  mutable value : float;
   mutable flag : float;
   mutable raw : float;
   mutable rerr : float;
 }
 
-(** Fresh reusable scratch cell for {!quantize_into}. *)
+(** Fresh reusable scratch cell for {!exec_into}. *)
 val create_scratch : unit -> scratch
 
-(** Per-assignment cast that reports overflow/rounding through the
-    scratch instead of an {!outcome} record.  Same contract as {!exec}
-    otherwise.  Its body does not allocate, but a call from another
-    module boxes the float argument and the result (4 words): a hot loop
-    outside this module should inline the in-range case, as
+(** Per-assignment cast that reports its value, overflow and rounding
+    through the scratch instead of an {!outcome} record.  Same contract
+    as {!exec} otherwise.  Neither its body nor its result allocates,
+    but a call from another module boxes the float argument (2 words):
+    a hot loop outside this module should inline the in-range case, as
     [Compile]'s quantizer instruction does, and call this only for the
     rest. *)
-val exec_into : compiled -> float -> scratch -> float
+val exec_into : compiled -> float -> scratch -> unit
 
 (** Largest rounded scaled magnitude {!exec_into} converts to an [int64]
     code; beyond it (or for formats with [int64_path = false]) the cast

@@ -63,12 +63,15 @@ type vals = {
 }
 
 (** Per-entry cache of everything the assignment cast needs from the
-    declared type: the compiled quantizer plus the representable range
-    as an interval (for saturating clamp of propagated ranges).  Rebuilt
-    whenever the dtype changes — never per sample. *)
+    declared type: the compiled quantizer, the representable range as an
+    interval (a never-assigned signal's propagated range) and the
+    entry's own cast scratch (an environment runs in one domain at a
+    time, so parallel sweep workers never share one).  Rebuilt whenever
+    the dtype changes — never per sample. *)
 type quantizer = {
   q : Fixpt.Quantize.compiled;
   type_iv : Interval.t;  (** representable range of the dtype *)
+  scratch : Fixpt.Quantize.scratch;  (** {!Fixpt.Quantize.exec_into}'s results *)
 }
 
 type entry = {
@@ -193,7 +196,11 @@ let compile_dtype = function
   | Some dt ->
       let lo, hi = Fixpt.Dtype.range dt in
       Some
-        { q = Fixpt.Quantize.of_dtype dt; type_iv = Interval.make lo hi }
+        {
+          q = Fixpt.Quantize.of_dtype dt;
+          type_iv = Interval.make lo hi;
+          scratch = Fixpt.Quantize.create_scratch ();
+        }
 
 (** Retype an entry, rebuilding its compiled quantizer (the refinement
     flow rewrites types between iterations). *)
@@ -271,11 +278,11 @@ let record_overflow t e raw =
       if t.sink != Trace.Sink.null then
         t.sink.Trace.Sink.on_fault ~id:e.id ~time:t.time ~kind:"collect"
 
-(** Stage a register write for the next {!tick}, tracking the entry on
-    the environment's dirty list (first write this cycle only). *)
-let stage t e ~fx ~fl =
-  e.v.next_fx <- fx;
-  e.v.next_fl <- fl;
+(** Stage the register write the caller has stored in [e.v.next_fx] /
+    [e.v.next_fl] for the next {!tick}, tracking the entry on the
+    environment's dirty list (first write this cycle only).  The caller
+    stores the floats itself: passing them here would box both. *)
+let stage t e =
   e.staged <- true;
   if not e.in_dirty then begin
     e.in_dirty <- true;

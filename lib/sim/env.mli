@@ -56,6 +56,8 @@ type vals = {
 type quantizer = {
   q : Fixpt.Quantize.compiled;
   type_iv : Interval.t;  (** representable range of the dtype *)
+  scratch : Fixpt.Quantize.scratch;
+      (** the entry's own {!Fixpt.Quantize.exec_into} results *)
 }
 
 type entry = {
@@ -150,9 +152,10 @@ val find_exn : t -> string -> entry
 (** Apply the overflow policy to an [Error]-mode overflow event. *)
 val record_overflow : t -> entry -> float -> unit
 
-(** Stage a register write for the next {!tick}, tracking the entry on
+(** Stage the register write already stored in the entry's
+    [v.next_fx]/[v.next_fl] for the next {!tick}, tracking the entry on
     the environment's dirty list. *)
-val stage : t -> entry -> fx:float -> fl:float -> unit
+val stage : t -> entry -> unit
 
 (** Commit all staged register writes — one clock tick.  Only entries
     written since the previous tick are touched; registers without a

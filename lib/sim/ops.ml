@@ -3,7 +3,7 @@
     Each arithmetic operator performs three simultaneous computations:
     the fixed-point arithmetic (on [fx]; quantization happens only at
     assignment), the floating-point reference (on [fl]) and the range
-    propagation (interval arithmetic on [iv]) — exactly the paper's
+    propagation (interval arithmetic on [[lo, hi]]) — exactly the paper's
     operator-overloading strategy.  When a {!Record} session is active
     a fourth effect runs: the operator adds itself to the signal
     flowgraph being extracted (§4.1 "Analytical").
@@ -13,83 +13,228 @@
     decisions" (§4.2), so both executions take the same paths and the
     error statistics stay meaningful.
 
+    Representation: {!Value.t} is one flat all-float record
+    [{fx; fl; lo; hi; node}] (6 words).  Every operator reads its
+    operands' fields directly and builds its result in one allocation,
+    with the range computed unboxed in place: no closures, no
+    intermediate [Interval.t], no boxed float.  The empty range is
+    [lo > hi]; operators test it first and return the canonical
+    [+∞, −∞], and otherwise compute exactly what the matching
+    {!Interval} operation computes (the agreement is under test).  The
+    [node] field is a float only to keep the record flat.  Calls to the
+    [Value] accessors or to [Interval]'s arithmetic would box floats
+    (the dev profile compiles with [-opaque], so a cross-module accessor
+    is an out-of-line call), and [scripts/check.sh] rejects them in this
+    file and in [signal.ml].
+
     Intended to be locally opened:
     {[
       let open Sim.Ops in
       c <-- (!!a *: !!b) +: cst 0.5
     ]} *)
 
-type v = Value.t
+type v = Value.t = {
+  fx : float;
+  fl : float;
+  lo : float;
+  hi : float;
+  node : float;
+}
 
 let cst = Value.const
 
-(* The recording check is inlined (rather than going through
-   [Record.map_node] with a closure) so the common not-recording case
-   allocates nothing beyond the result value. *)
-let lift2 op_kind ff fi (a : v) (b : v) : v =
-  let r =
-    {
-      Value.fx = ff (Value.fx a) (Value.fx b);
-      fl = ff (Value.fl a) (Value.fl b);
-      iv = fi (Value.iv a) (Value.iv b);
-      node = Value.no_node;
-    }
-  in
+let[@inline] is_empty a = a.lo > a.hi
+
+(* [Interval]'s endpoint product: inf * 0 is 0, not NaN *)
+let[@inline] endpoint_mul x y =
+  let p = x *. y in
+  if Float.is_nan p then 0.0 else p
+
+(* The recording check comes before the operand list is built, so the
+   common not-recording case allocates nothing beyond the result. *)
+let recorded1 kind a r =
   match Record.active () with
   | None -> r
-  | Some t -> Value.with_node r (Record.op t op_kind [ a; b ])
+  | Some t -> Value.with_node r (Record.op t kind [ a ])
 
-let lift1 op_kind ff fi (a : v) : v =
-  let r =
-    {
-      Value.fx = ff (Value.fx a);
-      fl = ff (Value.fl a);
-      iv = fi (Value.iv a);
-      node = Value.no_node;
-    }
-  in
+let recorded2 kind a b r =
   match Record.active () with
   | None -> r
-  | Some t -> Value.with_node r (Record.op t op_kind [ a ])
+  | Some t -> Value.with_node r (Record.op t kind [ a; b ])
 
-let ( +: ) = lift2 Sfg.Node.Add ( +. ) Interval.add
-let ( -: ) = lift2 Sfg.Node.Sub ( -. ) Interval.sub
-let ( *: ) = lift2 Sfg.Node.Mul ( *. ) Interval.mul
-let ( /: ) = lift2 Sfg.Node.Div ( /. ) Interval.div
-let ( ~-: ) = lift1 Sfg.Node.Neg (fun x -> -.x) Interval.neg
-let abs = lift1 Sfg.Node.Abs Float.abs Interval.abs
-let min_ = lift2 Sfg.Node.Min Float.min Interval.min_
-let max_ = lift2 Sfg.Node.Max Float.max Interval.max_
+let ( +: ) a b =
+  let e = is_empty a || is_empty b in
+  recorded2 Sfg.Node.Add a b
+    {
+      fx = a.fx +. b.fx;
+      fl = a.fl +. b.fl;
+      lo = (if e then Float.infinity else a.lo +. b.lo);
+      hi = (if e then Float.neg_infinity else a.hi +. b.hi);
+      node = -1.0;
+    }
+
+let ( -: ) a b =
+  let e = is_empty a || is_empty b in
+  recorded2 Sfg.Node.Sub a b
+    {
+      fx = a.fx -. b.fx;
+      fl = a.fl -. b.fl;
+      lo = (if e then Float.infinity else a.lo -. b.hi);
+      hi = (if e then Float.neg_infinity else a.hi -. b.lo);
+      node = -1.0;
+    }
+
+let ( *: ) a b =
+  let e = is_empty a || is_empty b in
+  let p1 = endpoint_mul a.lo b.lo
+  and p2 = endpoint_mul a.lo b.hi
+  and p3 = endpoint_mul a.hi b.lo
+  and p4 = endpoint_mul a.hi b.hi in
+  recorded2 Sfg.Node.Mul a b
+    {
+      fx = a.fx *. b.fx;
+      fl = a.fl *. b.fl;
+      lo =
+        (if e then Float.infinity
+         else Float.min (Float.min p1 p2) (Float.min p3 p4));
+      hi =
+        (if e then Float.neg_infinity
+         else Float.max (Float.max p1 p2) (Float.max p3 p4));
+      node = -1.0;
+    }
+
+(* a divisor range that straddles zero makes the quotient unbounded:
+   [−∞, +∞], the explosion signal the MSB analysis wants to see *)
+let ( /: ) a b =
+  let e = is_empty a || is_empty b in
+  let straddles = b.lo <= 0.0 && b.hi >= 0.0 in
+  let q1 = a.lo /. b.lo
+  and q2 = a.lo /. b.hi
+  and q3 = a.hi /. b.lo
+  and q4 = a.hi /. b.hi in
+  recorded2 Sfg.Node.Div a b
+    {
+      fx = a.fx /. b.fx;
+      fl = a.fl /. b.fl;
+      lo =
+        (if e then Float.infinity
+         else if straddles then Float.neg_infinity
+         else Float.min (Float.min q1 q2) (Float.min q3 q4));
+      hi =
+        (if e then Float.neg_infinity
+         else if straddles then Float.infinity
+         else Float.max (Float.max q1 q2) (Float.max q3 q4));
+      node = -1.0;
+    }
+
+let ( ~-: ) a =
+  let e = is_empty a in
+  recorded1 Sfg.Node.Neg a
+    {
+      fx = -.a.fx;
+      fl = -.a.fl;
+      lo = (if e then Float.infinity else -.a.hi);
+      hi = (if e then Float.neg_infinity else -.a.lo);
+      node = -1.0;
+    }
+
+let abs a =
+  let e = is_empty a in
+  recorded1 Sfg.Node.Abs a
+    {
+      fx = Float.abs a.fx;
+      fl = Float.abs a.fl;
+      lo =
+        (if e then Float.infinity
+         else if a.lo >= 0.0 then a.lo
+         else if a.hi <= 0.0 then -.a.hi
+         else 0.0);
+      hi =
+        (if e then Float.neg_infinity
+         else if a.lo >= 0.0 then a.hi
+         else if a.hi <= 0.0 then -.a.lo
+         else Float.max (-.a.lo) a.hi);
+      node = -1.0;
+    }
+
+let min_ a b =
+  let e = is_empty a || is_empty b in
+  recorded2 Sfg.Node.Min a b
+    {
+      fx = Float.min a.fx b.fx;
+      fl = Float.min a.fl b.fl;
+      lo = (if e then Float.infinity else Float.min a.lo b.lo);
+      hi = (if e then Float.neg_infinity else Float.min a.hi b.hi);
+      node = -1.0;
+    }
+
+let max_ a b =
+  let e = is_empty a || is_empty b in
+  recorded2 Sfg.Node.Max a b
+    {
+      fx = Float.max a.fx b.fx;
+      fl = Float.max a.fl b.fl;
+      lo = (if e then Float.infinity else Float.max a.lo b.lo);
+      hi = (if e then Float.neg_infinity else Float.max a.hi b.hi);
+      node = -1.0;
+    }
 
 (** Multiply by the constant [2^k] — a hardware shift; exact in all three
     components. *)
-let shift_left (a : v) k : v =
+let shift_left a k =
   let s = Float.ldexp 1.0 k in
-  lift1 (Sfg.Node.Shift k) (fun x -> x *. s) (fun i -> Interval.shift_left i k) a
+  let e = is_empty a in
+  let x = endpoint_mul s a.lo and y = endpoint_mul s a.hi in
+  let r =
+    {
+      fx = a.fx *. s;
+      fl = a.fl *. s;
+      lo = (if e then Float.infinity else Float.min x y);
+      hi = (if e then Float.neg_infinity else Float.max x y);
+      node = -1.0;
+    }
+  in
+  match Record.active () with
+  | None -> r
+  | Some t -> Value.with_node r (Record.op t (Sfg.Node.Shift k) [ a ])
 
 let shift_right a k = shift_left a (-k)
 
 (* --- control: fixed-point steered ------------------------------------ *)
 
-let ( <: ) (a : v) (b : v) = Value.fx a < Value.fx b
-let ( >: ) (a : v) (b : v) = Value.fx a > Value.fx b
-let ( <=: ) (a : v) (b : v) = Value.fx a <= Value.fx b
-let ( >=: ) (a : v) (b : v) = Value.fx a >= Value.fx b
-let ( =: ) (a : v) (b : v) = Value.fx a = Value.fx b
-let ( <>: ) (a : v) (b : v) = Value.fx a <> Value.fx b
+let ( <: ) a b = a.fx < b.fx
+let ( >: ) a b = a.fx > b.fx
+let ( <=: ) a b = a.fx <= b.fx
+let ( >=: ) a b = a.fx >= b.fx
+let ( =: ) a b = a.fx = b.fx
+let ( <>: ) a b = a.fx <> b.fx
 
 (** Two-way select steered by a fixed-point decision.  The propagated
-    range is the join of both branches (the static analysis cannot know
-    which branch runs).  Recorded as a [Select] whose condition is the
-    frozen decision — sound for range purposes (both branches join). *)
-let select cond (a : v) (b : v) : v =
+    range is the join (union hull) of both branches (the static analysis
+    cannot know which branch runs).  Recorded as a [Select] whose
+    condition is the frozen decision — sound for range purposes (both
+    branches join). *)
+let select cond a b =
   let chosen = if cond then a else b in
+  (* [Interval]'s join: an empty side yields the other; a side that
+     covers the other is taken as is *)
+  let a_covers =
+    (not (is_empty a)) && (is_empty b || (b.lo >= a.lo && b.hi <= a.hi))
+  in
+  let b_covers =
+    (not a_covers) && (is_empty a || (a.lo >= b.lo && a.hi <= b.hi))
+  in
   let r =
     {
-      Value.fx = Value.fx chosen;
-      fl = Value.fl chosen;
-      iv = Interval.join (Value.iv a) (Value.iv b);
-      node = Value.no_node;
+      fx = chosen.fx;
+      fl = chosen.fl;
+      lo =
+        (if a_covers then a.lo else if b_covers then b.lo
+         else Float.min a.lo b.lo);
+      hi =
+        (if a_covers then a.hi else if b_covers then b.hi
+         else Float.max a.hi b.hi);
+      node = -1.0;
     }
   in
   match Record.active () with
@@ -102,16 +247,9 @@ let select cond (a : v) (b : v) : v =
 (** Sign slicer: ±1 decision on the fixed-point value (the PAM slicer of
     the motivational example).  Recorded with the data value itself as
     the select condition, so the extracted graph keeps the dependence. *)
-let sign (a : v) : v =
-  let decision = if Value.fx a >= 0.0 then 1.0 else -1.0 in
-  let r =
-    {
-      Value.fx = decision;
-      fl = decision;
-      iv = Interval.make (-1.0) 1.0;
-      node = Value.no_node;
-    }
-  in
+let sign a =
+  let decision = if a.fx >= 0.0 then 1.0 else -1.0 in
+  let r = { fx = decision; fl = decision; lo = -1.0; hi = 1.0; node = -1.0 } in
   match Record.active () with
   | None -> r
   | Some t ->
@@ -123,12 +261,13 @@ let sign (a : v) : v =
     paper argues against in §4.2 — when the two decisions disagree the
     difference error jumps by a full decision distance and the error
     statistics lose their meaning.  The benches quantify that. *)
-let sign_unsteered (a : v) : v =
+let sign_unsteered a =
   {
-    Value.fx = (if Value.fx a >= 0.0 then 1.0 else -1.0);
-    fl = (if Value.fl a >= 0.0 then 1.0 else -1.0);
-    iv = Interval.make (-1.0) 1.0;
-    node = Value.no_node;
+    fx = (if a.fx >= 0.0 then 1.0 else -1.0);
+    fl = (if a.fl >= 0.0 then 1.0 else -1.0);
+    lo = -1.0;
+    hi = 1.0;
+    node = -1.0;
   }
 
 (* --- signal access ---------------------------------------------------- *)
@@ -138,21 +277,30 @@ let ( !! ) = Signal.value
 
 (** Explicit cast of an intermediate value through a type (§2.2's [cast]
     operator): quantizes [fx], leaves the float reference untouched, and
-    clamps the range if the type saturates. *)
-let cast_scratch = Fixpt.Quantize.create_scratch ()
+    clamps the range into the type's [[min_v, max_v]] if it saturates
+    ([Interval]'s clamp: a range already inside is kept as is).  The cast
+    scratch is domain-local: sweep workers cast concurrently. *)
+let cast_scratch = Domain.DLS.new_key Fixpt.Quantize.create_scratch
 
-let cast dt (a : v) : v =
+let cast dt a =
   let c = Fixpt.Quantize.of_dtype dt in
-  let fx = Fixpt.Quantize.exec_into c (Value.fx a) cast_scratch in
-  let iv =
-    if c.Fixpt.Quantize.saturating then
-      Interval.clamp
-        ~into:
-          (Interval.make c.Fixpt.Quantize.min_v c.Fixpt.Quantize.max_v)
-        (Value.iv a)
-    else Value.iv a
+  let s = Domain.DLS.get cast_scratch in
+  Fixpt.Quantize.exec_into c a.fx s;
+  let qlo = c.Fixpt.Quantize.min_v and qhi = c.Fixpt.Quantize.max_v in
+  let keep =
+    (not c.Fixpt.Quantize.saturating)
+    || is_empty a
+    || (a.lo >= qlo && a.hi <= qhi)
   in
-  let r = { Value.fx; fl = Value.fl a; iv; node = Value.no_node } in
+  let r =
+    {
+      fx = s.Fixpt.Quantize.value;
+      fl = a.fl;
+      lo = (if keep then a.lo else Float.min (Float.max a.lo qlo) qhi);
+      hi = (if keep then a.hi else Float.max (Float.min a.hi qhi) qlo);
+      node = -1.0;
+    }
+  in
   match Record.active () with
   | None -> r
   | Some t -> Value.with_node r (Record.op t (Sfg.Node.Quantize dt) [ a ])

@@ -61,9 +61,9 @@ let synth_name t base =
 (** Node for an operand value: its provenance if it has one, otherwise a
     constant of its fixed value (literals and detached externals). *)
 let operand t (v : Value.t) =
-  if Value.node v >= 0 then Value.node v
+  if v.Value.node >= 0.0 then Float.to_int v.Value.node
   else
-    Sfg.Graph.const t.graph ~name:(synth_name t "lit") (Value.fx v)
+    Sfg.Graph.const t.graph ~name:(synth_name t "lit") v.Value.fx
 
 (** Record a primitive operation over already-recorded operands. *)
 let op t op_kind (args : Value.t list) =
@@ -72,9 +72,86 @@ let op t op_kind (args : Value.t list) =
     ~name:(synth_name t (Sfg.Node.op_name op_kind))
     ~op:op_kind ~inputs
 
-(* Is this session currently mid-recording?  Exposed for the operator
-   layer: [map_node] runs [f] only when recording. *)
-let map_node f v =
-  match Domain.DLS.get current with
-  | None -> v
-  | Some t -> Value.with_node v (f t)
+(* The graph node a read of signal [e] refers to, creating delay/const
+   placeholders on first use.  Reads of a [range()]-annotated signal go
+   through a Saturate node, mirroring the range a read propagates. *)
+let read t (e : Env.entry) =
+  match Hashtbl.find_opt t.drivers e.Env.id with
+  | Some n -> n
+  | None ->
+      let g = t.graph in
+      let base =
+        match e.Env.kind with
+        | Env.Registered ->
+            let d = Sfg.Graph.delay g e.Env.name in
+            Hashtbl.replace t.delays e.Env.id d;
+            d
+        | Env.Comb ->
+            (* read before any recorded assignment: a constant loaded at
+               initialization (coefficients) *)
+            Sfg.Graph.const g ~name:e.Env.name e.Env.v.Env.fx
+      in
+      let wrapped =
+        match e.Env.explicit_range with
+        | Some rr ->
+            Sfg.Graph.fresh g
+              ~name:(e.Env.name ^ ".range")
+              ~op:(Sfg.Node.Saturate rr) ~inputs:[ base ]
+        | None -> base
+      in
+      Hashtbl.replace t.drivers e.Env.id wrapped;
+      wrapped
+
+(* An assignment extends the graph with the signal's
+   quantization/saturation pipeline and names the result — comb signals
+   get an Alias node, registered signals a Delay (closing feedback). *)
+let assign t (e : Env.entry) (v : Value.t) =
+  let g = t.graph in
+  let src =
+    if v.Value.node >= 0.0 then Float.to_int v.Value.node
+    else
+      (* external data entering the design through this signal; its
+         declared range is the annotation, the type range, or — lacking
+         both — the incoming value itself (a literal constant) *)
+      let declared =
+        match e.Env.explicit_range with
+        | Some r -> r
+        | None -> (
+            match e.Env.dtype with
+            | Some dt ->
+                let lo, hi = Fixpt.Dtype.range dt in
+                Interval.make lo hi
+            | None -> Value.iv v)
+      in
+      Sfg.Graph.fresh g
+        ~name:(e.Env.name ^ "_in")
+        ~op:(Sfg.Node.Input declared) ~inputs:[]
+  in
+  let src =
+    match e.Env.dtype with
+    | Some dt -> Sfg.Graph.quantize g ~name:(e.Env.name ^ "_q") dt src
+    | None -> src
+  in
+  let src =
+    match e.Env.explicit_range with
+    | Some rr ->
+        Sfg.Graph.fresh g
+          ~name:(e.Env.name ^ "_sat")
+          ~op:(Sfg.Node.Saturate rr) ~inputs:[ src ]
+    | None -> src
+  in
+  match e.Env.kind with
+  | Env.Comb ->
+      let a = Sfg.Graph.alias g ~name:e.Env.name src in
+      Hashtbl.replace t.drivers e.Env.id a
+  | Env.Registered -> (
+      match Hashtbl.find_opt t.delays e.Env.id with
+      | Some d -> (
+          try Sfg.Graph.connect_delay g d src
+          with Invalid_argument _ ->
+            (* already connected (second write this cycle): keep first *)
+            ())
+      | None ->
+          let d = Sfg.Graph.delay_of g e.Env.name src in
+          Hashtbl.replace t.delays e.Env.id d;
+          Hashtbl.replace t.drivers e.Env.id d)

@@ -2,9 +2,9 @@
     "Analytical") — see {!Extract} for the one-call API.
 
     While a session is active, the overloaded operators ({!Ops}) and the
-    signal read/write paths ({!Signal}) add nodes to [graph]; the
-    [drivers]/[delays] tables map signal ids to the nodes currently
-    representing them. *)
+    signal read/write paths ({!Signal}, through {!read} and {!assign})
+    add nodes to [graph]; the [drivers]/[delays] tables map signal ids
+    to the nodes currently representing them. *)
 
 type t = {
   graph : Sfg.Graph.t;
@@ -35,5 +35,12 @@ val operand : t -> Value.t -> int
 (** Record a primitive operation over already-recorded operands. *)
 val op : t -> Sfg.Node.op -> Value.t list -> int
 
-(** Apply [f] to tag a value only when a session is active. *)
-val map_node : (t -> int) -> Value.t -> Value.t
+(** The node a read of the signal refers to (a delay, a constant or the
+    current driver; wrapped in a [Saturate] for a [range()]-annotated
+    signal), created on first use. *)
+val read : t -> Env.entry -> int
+
+(** Record an assignment of the value to the signal: its quantize and
+    saturate nodes, then an [Alias] (combinational) or the [Delay]
+    input (registered). *)
+val assign : t -> Env.entry -> Value.t -> unit

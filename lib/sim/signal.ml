@@ -53,78 +53,84 @@ let error (t : t) h =
 
 let clear_error (t : t) = t.Env.error_inject <- None
 
-(* The interval a read propagates (see DESIGN.md §"quasi-analytical"):
-   explicit annotation wins; otherwise the accumulated propagated range,
-   defaulting to the declared type's range and then to the current value;
-   a saturating type clamps the result (hardware saturation bounds the
-   signal). *)
-let read_interval (t : t) =
+(* Saturating-type clamp of a propagated range, on unboxed endpoints —
+   [Interval]'s clamp into [[min_v, max_v]]: an empty range ([lo > hi]) or
+   one already inside is kept as is. *)
+let[@inline] keeps (q : Fixpt.Quantize.compiled) lo hi =
+  lo > hi || (lo >= q.Fixpt.Quantize.min_v && hi <= q.Fixpt.Quantize.max_v)
+
+let[@inline] clamp_lo (q : Fixpt.Quantize.compiled) lo hi =
+  if keeps q lo hi then lo
+  else Float.min (Float.max lo q.Fixpt.Quantize.min_v) q.Fixpt.Quantize.max_v
+
+let[@inline] clamp_hi (q : Fixpt.Quantize.compiled) lo hi =
+  if keeps q lo hi then hi
+  else Float.max (Float.min hi q.Fixpt.Quantize.max_v) q.Fixpt.Quantize.min_v
+
+(* [Interval.observe]: grow a range by one value (NaN ignored; a value
+   already inside keeps the range as is). *)
+let[@inline] observe_lo lo hi x =
+  if Float.is_nan x then lo
+  else if lo > hi then x
+  else if lo <= x && x <= hi then lo
+  else Float.min lo x
+
+let[@inline] observe_hi lo hi x =
+  if Float.is_nan x then hi
+  else if lo > hi then x
+  else if lo <= x && x <= hi then hi
+  else Float.max hi x
+
+(** Read the signal as a simulation value (counts as an access).  The
+    range it propagates (see DESIGN.md §"quasi-analytical"): the
+    explicit annotation wins; otherwise the accumulated propagated
+    range, defaulting to the declared type's range and then to the
+    current value; a register read also covers the value it currently
+    holds; a saturating type clamps the result (hardware saturation
+    bounds the signal).  The endpoints are computed unboxed and land
+    straight in the value record. *)
+let value (t : t) : Value.t =
+  t.Env.n_access <- t.Env.n_access + 1;
+  let cur = t.Env.v in
   let base =
     match t.Env.explicit_range with
     | Some r -> r
     | None ->
-        let accumulated =
-          if Interval.is_empty t.Env.range_prop then (
-            match t.Env.quant with
-            | Some qz -> qz.Env.type_iv
-            | None -> Interval.of_point t.Env.v.Env.fl)
-          else t.Env.range_prop
-        in
-        (* a register read must cover the value it currently holds: the
-           initial contents (and a same-cycle staged write's staleness)
-           are not in the assignment-accumulated range — the exact
-           analogue of the analytical Delay transfer joining its init *)
-        (match t.Env.kind with
-        | Env.Registered ->
-            Interval.observe (Interval.observe accumulated t.Env.v.Env.fx) t.Env.v.Env.fl
-        | Env.Comb -> accumulated)
+        if Interval.is_empty t.Env.range_prop then (
+          match t.Env.quant with
+          | Some qz -> qz.Env.type_iv
+          | None -> Interval.of_point cur.Env.fl)
+        else t.Env.range_prop
   in
-  match t.Env.quant with
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
+  (match base with
+  | Interval.Range r ->
+      lo := r.lo;
+      hi := r.hi
+  | Interval.Empty -> ());
+  (* a register read must cover the value it currently holds: the
+     initial contents (and a same-cycle staged write's staleness) are
+     not in the assignment-accumulated range — the exact analogue of
+     the analytical Delay transfer joining its init *)
+  (match (t.Env.explicit_range, t.Env.kind) with
+  | None, Env.Registered ->
+      let l = observe_lo !lo !hi cur.Env.fx and h = observe_hi !lo !hi cur.Env.fx in
+      let l' = observe_lo l h cur.Env.fl and h' = observe_hi l h cur.Env.fl in
+      lo := l';
+      hi := h'
+  | _ -> ());
+  (match t.Env.quant with
   | Some qz when qz.Env.q.Fixpt.Quantize.saturating ->
-      Interval.clamp ~into:qz.Env.type_iv base
-  | _ -> base
-
-(* Recording (§4.1 "Analytical", see {!Record}): the graph node a read
-   of this signal refers to, creating delay/const placeholders on first
-   use.  Reads of a [range()]-annotated signal go through a Saturate
-   node, mirroring {!read_interval}. *)
-let record_read (r : Record.t) (t : t) =
-  match Hashtbl.find_opt r.Record.drivers t.Env.id with
-  | Some n -> n
-  | None ->
-      let g = r.Record.graph in
-      let base =
-        match t.Env.kind with
-        | Env.Registered ->
-            let d = Sfg.Graph.delay g t.Env.name in
-            Hashtbl.replace r.Record.delays t.Env.id d;
-            d
-        | Env.Comb ->
-            (* read before any recorded assignment: a constant loaded at
-               initialization (coefficients) *)
-            Sfg.Graph.const g ~name:t.Env.name t.Env.v.Env.fx
-      in
-      let wrapped =
-        match t.Env.explicit_range with
-        | Some rr ->
-            Sfg.Graph.fresh g
-              ~name:(t.Env.name ^ ".range")
-              ~op:(Sfg.Node.Saturate rr) ~inputs:[ base ]
-        | None -> base
-      in
-      Hashtbl.replace r.Record.drivers t.Env.id wrapped;
-      wrapped
-
-(** Read the signal as a simulation value (counts as an access). *)
-let value (t : t) : Value.t =
-  t.Env.n_access <- t.Env.n_access + 1;
-  let base =
-    { Value.fx = t.Env.v.Env.fx; fl = t.Env.v.Env.fl; iv = read_interval t;
-      node = Value.no_node }
+      let l = clamp_lo qz.Env.q !lo !hi and h = clamp_hi qz.Env.q !lo !hi in
+      lo := l;
+      hi := h
+  | _ -> ());
+  let r =
+    { Value.fx = cur.Env.fx; fl = cur.Env.fl; lo = !lo; hi = !hi; node = -1.0 }
   in
   match Record.active () with
-  | None -> base
-  | Some r -> Value.with_node base (record_read r t)
+  | None -> r
+  | Some rc -> Value.with_node r (Record.read rc t)
 
 (** Current fixed-point value without monitoring (for probes/tests). *)
 let peek_fx (t : t) = t.Env.v.Env.fx
@@ -149,103 +155,55 @@ let lsb_exponent v =
     e + strip m 0
   end
 
-(* Update the range monitors with the incoming ideal value and interval. *)
-let monitor_range (t : t) (v : Value.t) =
-  Stats.Running.add t.Env.range_stat v.Value.fx;
-  (let p = lsb_exponent v.Value.fx in
+(* Update the range monitors with the incoming ideal value ([fx_in] is
+   [v.fx], boxed once by the caller) and range.  The propagated range is
+   clamped (saturating type) and joined into [range_prop] on unboxed
+   endpoints — [Interval]'s join semantics, allocating a new [Range]
+   only when [range_prop] grows. *)
+let monitor_range (t : t) (v : Value.t) fx_in =
+  Stats.Running.add t.Env.range_stat fx_in;
+  (let p = lsb_exponent fx_in in
    if p <> max_int then
      match t.Env.grid_lsb with
      | Some q when q <= p -> ()  (* already at least as fine: no update *)
      | _ -> t.Env.grid_lsb <- Some p);
-  let incoming =
-    match t.Env.quant with
-    | Some qz when qz.Env.q.Fixpt.Quantize.saturating ->
-        Interval.clamp ~into:qz.Env.type_iv v.Value.iv
-    | _ -> v.Value.iv
-  in
-  t.Env.range_prop <- Interval.join t.Env.range_prop incoming
+  let lo = ref v.Value.lo and hi = ref v.Value.hi in
+  (match t.Env.quant with
+  | Some qz when qz.Env.q.Fixpt.Quantize.saturating ->
+      let l = clamp_lo qz.Env.q !lo !hi and h = clamp_hi qz.Env.q !lo !hi in
+      lo := l;
+      hi := h
+  | _ -> ());
+  if not (!lo > !hi) then
+    match t.Env.range_prop with
+    | Interval.Empty -> t.Env.range_prop <- Interval.Range { lo = !lo; hi = !hi }
+    | Interval.Range r ->
+        if !lo >= r.lo && !hi <= r.hi then ()
+        else if r.lo >= !lo && r.hi <= !hi then
+          t.Env.range_prop <- Interval.Range { lo = !lo; hi = !hi }
+        else
+          t.Env.range_prop <-
+            Interval.Range { lo = Float.min r.lo !lo; hi = Float.max r.hi !hi }
 
 (* Quantize the incoming fixed value through the signal's compiled
-   quantizer, recording overflow events.  Uses [exec_into] (no outcome
-   record; the cross-module call still boxes the float argument and
-   result) with a module-private scratch (simulation is
-   single-domain; nothing re-enters between the cast and the reads). *)
-let qscratch = Fixpt.Quantize.create_scratch ()
-
-let quantize_in (t : t) fx_in =
-  match t.Env.quant with
-  | None -> fx_in
-  | Some qz ->
-      let q = qz.Env.q in
-      let fx = Fixpt.Quantize.exec_into q fx_in qscratch in
-      if qscratch.Fixpt.Quantize.flag <> 0.0 then begin
-        let raw = qscratch.Fixpt.Quantize.raw in
-        (* the sink sees the event before the policy may abort the run *)
-        (let snk = Env.sink t.Env.env in
-         if snk != Trace.Sink.null then
-           snk.Trace.Sink.on_overflow ~id:t.Env.id ~time:(Env.time t.Env.env)
-             ~raw ~saturating:q.Fixpt.Quantize.saturating);
-        if q.Fixpt.Quantize.error_mode then Env.record_overflow t.Env.env t raw
-        else begin
-          t.Env.n_overflow <- t.Env.n_overflow + 1;
-          t.Env.last_overflow <- Some raw
-        end
-      end;
-      fx
-
-(* Recording: an assignment extends the graph with the signal's
-   quantization/saturation pipeline and names the result — comb signals
-   get an Alias node, registered signals a Delay (closing feedback). *)
-let record_assign (r : Record.t) (t : t) (v : Value.t) =
-  let g = r.Record.graph in
-  let src =
-    if Value.node v >= 0 then Value.node v
-    else
-      (* external data entering the design through this signal; its
-         declared range is the annotation, the type range, or — lacking
-         both — the incoming value itself (a literal constant) *)
-      let declared =
-        match t.Env.explicit_range with
-        | Some r -> r
-        | None -> (
-            match t.Env.dtype with
-            | Some dt ->
-                let lo, hi = Fixpt.Dtype.range dt in
-                Interval.make lo hi
-            | None -> Value.iv v)
-      in
-      Sfg.Graph.fresh g
-        ~name:(t.Env.name ^ "_in")
-        ~op:(Sfg.Node.Input declared) ~inputs:[]
-  in
-  let src =
-    match t.Env.dtype with
-    | Some dt -> Sfg.Graph.quantize g ~name:(t.Env.name ^ "_q") dt src
-    | None -> src
-  in
-  let src =
-    match t.Env.explicit_range with
-    | Some rr ->
-        Sfg.Graph.fresh g
-          ~name:(t.Env.name ^ "_sat")
-          ~op:(Sfg.Node.Saturate rr) ~inputs:[ src ]
-    | None -> src
-  in
-  match t.Env.kind with
-  | Env.Comb ->
-      let a = Sfg.Graph.alias g ~name:t.Env.name src in
-      Hashtbl.replace r.Record.drivers t.Env.id a
-  | Env.Registered -> (
-      match Hashtbl.find_opt r.Record.delays t.Env.id with
-      | Some d -> (
-          try Sfg.Graph.connect_delay g d src
-          with Invalid_argument _ ->
-            (* already connected (second write this cycle): keep first *)
-            ())
-      | None ->
-          let d = Sfg.Graph.delay_of g t.Env.name src in
-          Hashtbl.replace r.Record.delays t.Env.id d;
-          Hashtbl.replace r.Record.drivers t.Env.id d)
+   quantizer into its scratch's [value], recording overflow events.
+   Uses [exec_into] (no outcome record, no boxed result). *)
+let quantize_in (t : t) (qz : Env.quantizer) fx_in =
+  let q = qz.Env.q and s = qz.Env.scratch in
+  Fixpt.Quantize.exec_into q fx_in s;
+  if s.Fixpt.Quantize.flag <> 0.0 then begin
+    let raw = s.Fixpt.Quantize.raw in
+    (* the sink sees the event before the policy may abort the run *)
+    (let snk = Env.sink t.Env.env in
+     if snk != Trace.Sink.null then
+       snk.Trace.Sink.on_overflow ~id:t.Env.id ~time:(Env.time t.Env.env)
+         ~raw ~saturating:q.Fixpt.Quantize.saturating);
+    if q.Fixpt.Quantize.error_mode then Env.record_overflow t.Env.env t raw
+    else begin
+      t.Env.n_overflow <- t.Env.n_overflow + 1;
+      t.Env.last_overflow <- Some raw
+    end
+  end
 
 (** Assign a value to the signal (the paper's overloaded [=]): performs
     the quantization cast, runs all monitors, and — for registered
@@ -253,16 +211,26 @@ let record_assign (r : Record.t) (t : t) (v : Value.t) =
 let assign (t : t) (v : Value.t) =
   t.Env.n_assign <- t.Env.n_assign + 1;
   (match Record.active () with
-  | Some r -> record_assign r t v
+  | Some r -> Record.assign r t v
   | None -> ());
-  monitor_range t v;
-  let fx' = quantize_in t v.Value.fx in
+  (* the range monitor, the LSB grid and the quantizer each take the
+     incoming fixed value as a boxed float: box it once, here, instead
+     of once per call ([opaque_identity] keeps the compiler from
+     unboxing the binding again) *)
+  let fx_in = Sys.opaque_identity v.Value.fx in
+  monitor_range t v fx_in;
+  (* the stored value stays unboxed: a local float ref is a register *)
+  let fx' = ref v.Value.fx in
+  (match t.Env.quant with
+  | None -> ()
+  | Some qz ->
+      quantize_in t qz fx_in;
+      fx' := qz.Env.scratch.Fixpt.Quantize.value);
   (* fault-injection hook: disabled injection costs exactly this match —
      the transform (SEU bitflips, forced overflow, …) runs only when a
      plan armed the environment (see Fault.Inject) *)
-  let fx' =
-    match Env.injector t.Env.env with None -> fx' | Some f -> f t fx'
-  in
+  (match Env.injector t.Env.env with None -> () | Some f -> fx' := f t !fx');
+  let fx' = !fx' in
   let fl' =
     match t.Env.error_inject with
     | Some h -> fx' +. Stats.Rng.uniform_sym (Env.rng t.Env.env) h
@@ -286,7 +254,10 @@ let assign (t : t) (v : Value.t) =
   | Env.Comb ->
       t.Env.v.Env.fx <- fx';
       t.Env.v.Env.fl <- fl'
-  | Env.Registered -> Env.stage t.Env.env t ~fx:fx' ~fl:fl'
+  | Env.Registered ->
+      t.Env.v.Env.next_fx <- fx';
+      t.Env.v.Env.next_fl <- fl';
+      Env.stage t.Env.env t
 
 (** Force both simulation values directly (initialization — e.g. loading
     filter coefficients or setting a register's reset value before the

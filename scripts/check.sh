@@ -17,7 +17,13 @@
 #      judged only by lib/oracle/check.ml (no `let passed`,
 #      `let pp_report` or `let pp_result` elsewhere in lib/oracle), so
 #      none grows a second copy again;
-#   6. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
+#   6. a hot-path guard: lib/sim/ops.ml and lib/sim/signal.ml read the
+#      flat Sim.Value.t fields directly and never call the Value.fx /
+#      Value.fl / Value.iv / Value.node accessors or Interval's
+#      arithmetic (add sub mul div neg abs min_ max_ scale shift_left
+#      join clamp) — out-of-line calls that box floats on every
+#      operation;
+#   7. the transcript-bearing docs (docs/TUTORIAL.md, docs/CLI.md,
 #      docs/CACHING.md), re-executed command by command, plus a dead
 #      relative-link check over README.md and docs/*.md, so the
 #      documentation cannot rot.
@@ -99,6 +105,14 @@ fi
 if grep -nE 'let (passed|pp_report|pp_result)([^A-Za-z0-9_]|$)' lib/oracle/*.ml \
   | grep -v '^lib/oracle/check\.ml:'; then
   echo "check.sh: a gate verdict judged or printed outside lib/oracle/check.ml (return Oracle.Check.t list)" >&2
+  exit 1
+fi
+# One flat dual value: the per-operation path reads Value.t fields
+# directly (a field access `v.Value.fx` or a record label `{ Value.fx =`
+# is fine; a call `Value.fx v` is not).
+if grep -nE '(^|[^.[:alnum:]_])Value\.(fx|fl|iv|node)([[:space:]]+[^[:space:]=;}]|[)]|$)|Interval\.(add|sub|mul|div|neg|abs|min_|max_|scale|shift_left|join|clamp)([^[:alnum:]_]|$)' \
+  lib/sim/ops.ml lib/sim/signal.ml; then
+  echo "check.sh: a boxing Value accessor or Interval operation on the dual-value hot path (read the Value.t fields directly)" >&2
   exit 1
 fi
 with_timeout 60 sh scripts/check_links.sh

@@ -145,7 +145,8 @@ let prop_exec_into_matches_exec =
       in
       let c = Quantize.of_dtype d in
       let s = Quantize.create_scratch () in
-      let value = Quantize.exec_into c v s in
+      Quantize.exec_into c v s;
+      let value = s.Quantize.value in
       let out = Quantize.exec c v in
       value = out.Quantize.value
       && s.Quantize.rerr = out.Quantize.rounding_error
@@ -306,6 +307,73 @@ let test_lane_kernel_allocation () =
     Alcotest.failf "lane kernel allocates %.2f minor words per lane-cycle (> 4)"
       per_lane_cycle
 
+(* --- allocation guard: the interpreter's dual value ---------------------- *)
+
+(* Host-independent budgets for the flat dual value.  A [Value.t] is one
+   all-float block (5 doubles + header = 6 words), so an operator result,
+   a signal read and a typed assignment each cost one such block — a
+   boxed field or a re-boxed float breaks the budget. *)
+let minor_words_per n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. Float.of_int n
+
+let test_value_is_flat () =
+  let open Sim.Ops in
+  let flat v = Obj.tag (Obj.repr v) = Obj.double_array_tag in
+  check bool_t "constant is a flat float block" true (flat (cst 0.5));
+  check bool_t "operator result is a flat float block" true
+    (flat (cst 0.5 +: cst 0.25));
+  check int_t "5 doubles" 5 (Obj.size (Obj.repr (cst 0.5)))
+
+let test_value_op_allocation () =
+  let open Sim.Ops in
+  let env = Sim.Env.create () in
+  let s = Sim.Signal.create env ~dtype:(dt ~n:12 ~f:8 ()) "s" in
+  let c = Sim.Signal.create env "c" in
+  let a = cst 0.5 and b = cst 0.25 in
+  s <-- a;
+  c <-- a;
+  let budget name f =
+    let words = minor_words_per 1000 f in
+    if words > 6.0 then
+      Alcotest.failf "%s allocates %.2f minor words (> 6)" name words
+  in
+  let result name f = budget name (fun () -> ignore (Sys.opaque_identity (f ()))) in
+  result "+:" (fun () -> a +: b);
+  result "*:" (fun () -> a *: b);
+  result "/:" (fun () -> a /: b);
+  result "comb !!" (fun () -> !!c);
+  budget "typed <--" (fun () -> s <-- a)
+
+(* The whole interpreter on the sweep's sync candidate (closed ML-TED
+   loop, 48 symbols, uniform f = 6): at most 800 minor words per input
+   sample over one [run]. *)
+let test_sync_interpreter_allocation () =
+  let w = Sweep.Workload.sync ~n_symbols:48 () in
+  let inst = w.Sweep.Workload.make_instance () in
+  let env = inst.Sweep.Workload.env and d = inst.Sweep.Workload.design in
+  let c =
+    Sweep.Candidate.of_uniform ~id:0 ~specs:w.Sweep.Workload.specs ~f:6
+      ~stim_seed:0
+  in
+  Sim.Env.restore_into inst.Sweep.Workload.baseline env;
+  Refine.Eval.apply_assigns env (Sweep.Candidate.to_dtypes c);
+  d.Refine.Flow.reset ();
+  d.Refine.Flow.run ();
+  d.Refine.Flow.reset ();
+  let w0 = Gc.minor_words () and t0 = Sim.Env.time env in
+  d.Refine.Flow.run ();
+  let per_sample =
+    (Gc.minor_words () -. w0) /. Float.of_int (Sim.Env.time env - t0)
+  in
+  if per_sample > 800.0 then
+    Alcotest.failf "sync interpreter allocates %.1f minor words per sample (> 800)"
+      per_sample
+
 let suite =
   ( "hot-path",
     [
@@ -327,6 +395,12 @@ let suite =
         test_tick_commits_only_staged;
       Alcotest.test_case "lane kernel allocation budget" `Quick
         test_lane_kernel_allocation;
+      Alcotest.test_case "value is a flat float record" `Quick
+        test_value_is_flat;
+      Alcotest.test_case "value op allocation budget" `Quick
+        test_value_op_allocation;
+      Alcotest.test_case "sync interpreter allocation budget" `Quick
+        test_sync_interpreter_allocation;
       Test_support.Qseed.to_alcotest prop_wrap_code_small_n_matches_modular;
       Test_support.Qseed.to_alcotest prop_paths_agree_saturate;
       Test_support.Qseed.to_alcotest prop_paths_agree_wrap;

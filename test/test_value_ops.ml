@@ -120,6 +120,136 @@ let prop_fl_membership =
     QCheck2.Gen.(pair gen_v gen_v)
     (fun (a, b) -> memfl (a +: b) && memfl (a *: b) && memfl (a -: b))
 
+(* --- the flat value against the Interval reference ------------------ *)
+
+(* Bit-exact float equality (the sign of a zero counts), with every NaN
+   equal to every other. *)
+let same x y =
+  (Float.is_nan x && Float.is_nan y)
+  || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_iv a b =
+  match (a, b) with
+  | Interval.Empty, Interval.Empty -> true
+  | Interval.Range a, Interval.Range b -> same a.lo b.lo && same a.hi b.hi
+  | _ -> false
+
+let gen_float =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, float_range (-1e3) 1e3);
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; 1.0; -1.0; 1e300; -1e300; 5e-324; Float.infinity;
+              Float.neg_infinity ] );
+      ])
+
+(* Empty, entire, points, ordered pairs (half of them straddle zero),
+   infinite endpoints from [gen_float], and the NaN endpoint that
+   inf - inf leaves in a propagated range. *)
+let gen_iv =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pure Interval.empty);
+        (1, pure Interval.entire);
+        (1, map Interval.of_point gen_float);
+        ( 6,
+          map2
+            (fun a b -> Interval.make (Float.min a b) (Float.max a b))
+            gen_float gen_float );
+        (1, map (fun hi -> Interval.Range { lo = Float.nan; hi }) gen_float);
+      ])
+
+let gen_val =
+  QCheck2.Gen.(
+    map3
+      (fun fx fl iv ->
+        Sim.Value.with_range { (Sim.Value.const fx) with Sim.Value.fl } iv)
+      gen_float gen_float gen_iv)
+
+let print_val x = Format.asprintf "%a" Sim.Value.pp x
+
+(* fx and fl are the plain float operation, the range is the Interval
+   operation on the operands' ranges *)
+let agrees r ~fx ~fl iv =
+  same r.Sim.Value.fx fx && same r.Sim.Value.fl fl
+  && same_iv (Sim.Value.iv r) iv
+
+let prop_binary_ops_match_interval =
+  QCheck2.Test.make ~name:"flat binary ops = Interval ops" ~count:3000
+    ~print:QCheck2.Print.(pair print_val print_val)
+    QCheck2.Gen.(pair gen_val gen_val)
+    (fun (a, b) ->
+      let open Sim.Value in
+      let ia = iv a and ib = iv b in
+      agrees (a +: b) ~fx:(a.fx +. b.fx) ~fl:(a.fl +. b.fl) (Interval.add ia ib)
+      && agrees (a -: b) ~fx:(a.fx -. b.fx) ~fl:(a.fl -. b.fl)
+           (Interval.sub ia ib)
+      && agrees (a *: b) ~fx:(a.fx *. b.fx) ~fl:(a.fl *. b.fl)
+           (Interval.mul ia ib)
+      && agrees (a /: b) ~fx:(a.fx /. b.fx) ~fl:(a.fl /. b.fl)
+           (Interval.div ia ib)
+      && agrees (min_ a b) ~fx:(Float.min a.fx b.fx) ~fl:(Float.min a.fl b.fl)
+           (Interval.min_ ia ib)
+      && agrees (max_ a b) ~fx:(Float.max a.fx b.fx) ~fl:(Float.max a.fl b.fl)
+           (Interval.max_ ia ib)
+      && agrees (select true a b) ~fx:a.fx ~fl:a.fl (Interval.join ia ib)
+      && agrees (select false a b) ~fx:b.fx ~fl:b.fl (Interval.join ia ib))
+
+let prop_unary_ops_match_interval =
+  QCheck2.Test.make ~name:"flat unary ops = Interval ops" ~count:3000
+    ~print:QCheck2.Print.(pair print_val int)
+    QCheck2.Gen.(pair gen_val (int_range (-70) 70))
+    (fun (a, k) ->
+      let open Sim.Value in
+      let ia = iv a and s = Float.ldexp 1.0 k in
+      let d = if a.fx >= 0.0 then 1.0 else -1.0 in
+      agrees (~-:a) ~fx:(-.a.fx) ~fl:(-.a.fl) (Interval.neg ia)
+      && agrees (abs a) ~fx:(Float.abs a.fx) ~fl:(Float.abs a.fl)
+           (Interval.abs ia)
+      && agrees (shift_left a k) ~fx:(a.fx *. s) ~fl:(a.fl *. s)
+           (Interval.shift_left ia k)
+      && agrees (shift_right a k) ~fx:(a.fx /. s) ~fl:(a.fl /. s)
+           (Interval.shift_left ia (-k))
+      && agrees (sign a) ~fx:d ~fl:d (Interval.make (-1.0) 1.0))
+
+let prop_cast_matches_interval =
+  QCheck2.Test.make ~name:"flat cast = quantize + Interval.clamp" ~count:2000
+    ~print:QCheck2.Print.(triple print_val int bool)
+    QCheck2.Gen.(triple gen_val (int_range 2 20) bool)
+    (fun (a, n, saturate) ->
+      let dtq =
+        Fixpt.Dtype.make "q" ~n ~f:(n / 2)
+          ~overflow:
+            (if saturate then Fixpt.Overflow_mode.Saturate
+             else Fixpt.Overflow_mode.Wrap)
+          ()
+      in
+      let lo, hi = Fixpt.Dtype.range dtq in
+      let ia = Sim.Value.iv a in
+      agrees (cast dtq a) ~fx:(Fixpt.Quantize.cast dtq a.Sim.Value.fx)
+        ~fl:a.Sim.Value.fl
+        (if saturate then Interval.clamp ~into:(Interval.make lo hi) ia else ia))
+
+let prop_range_round_trip =
+  QCheck2.Test.make ~name:"with_range/iv round trip" ~count:1000
+    ~print:Interval.to_string gen_iv (fun iv ->
+      same_iv (Sim.Value.iv (Sim.Value.with_range (cst 0.25) iv)) iv)
+
+let test_empty_round_trip () =
+  let e = Sim.Value.with_range (cst 0.5) Interval.empty in
+  check bool_t "empty reads back empty" true
+    (Interval.is_empty (Sim.Value.iv e));
+  check bool_t "fx kept" true (Sim.Value.fx e = 0.5);
+  (* an operator on an empty operand propagates nothing *)
+  check bool_t "empty + x is empty" true
+    (Interval.is_empty (Sim.Value.iv (e +: cst 1.0)));
+  check bool_t "select joins an empty side away" true
+    (Interval.equal (Sim.Value.iv (select true e (cst 2.0)))
+       (Interval.of_point 2.0))
+
 let suite =
   ( "value-ops",
     [
@@ -138,6 +268,11 @@ let suite =
         test_cast_quantizes_fx_only;
       Alcotest.test_case "saturating cast clamps range" `Quick
         test_cast_saturating_clamps_range;
+      Alcotest.test_case "empty range round trip" `Quick test_empty_round_trip;
       Test_support.Qseed.to_alcotest prop_ops_keep_membership;
       Test_support.Qseed.to_alcotest prop_fl_membership;
+      Test_support.Qseed.to_alcotest prop_binary_ops_match_interval;
+      Test_support.Qseed.to_alcotest prop_unary_ops_match_interval;
+      Test_support.Qseed.to_alcotest prop_cast_matches_interval;
+      Test_support.Qseed.to_alcotest prop_range_round_trip;
     ] )
